@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +30,6 @@ from .payoffs import (
 )
 from .representation import build_integrands, replicate_batch
 from .simulate import simulate
-
-DEFAULT_THREADS_ENV = "LEVYREP_THREADS"
 
 
 def config_hash(config: dict) -> str:
@@ -299,7 +296,6 @@ def main(argv=None) -> int:
     if args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    os.environ.setdefault(DEFAULT_THREADS_ENV, "1")
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.command](args, config)

@@ -9,6 +9,17 @@ compensated jump integrals, plus the (undamped) transition density.  Nodes are
 composite Gauss-Legendre panels, frequency-aware in the oscillation rate and
 refined until two quadrature orders agree; the truncation bound grows until
 the integrand envelope is negligible.
+
+The nodes are symmetric in +/-v and every integrand is conjugate-symmetric,
+w(-v) = conj(w(v)), so each sum -- table evaluation and the convergence
+probes alike -- runs over the v > 0 half only, in real arithmetic:
+
+    (1/pi) e^{alpha x} sum_{v>0} [Re w cos(vx) + Im w sin(vx)]
+
+(``_half_sum``; alpha = 0 for the density).  The symmetry itself is checked
+once, when ``MultiTable`` or ``DensityTable`` is constructed from the full
+symmetric node set, so an asymmetric multiplier raises QuadratureError
+whatever the number of points later evaluated.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .models import BrownianModel, LevyModel
 from .payoffs import DampedPayoff
 
 IMAG_RESIDUAL_TOL = 1e-8
+EVAL_BLOCK = 4_000_000  # trig-matrix entries per block of evaluation points
 
 
 @dataclass(frozen=True)
@@ -90,99 +102,110 @@ def _split_edges(edges: np.ndarray, k: int) -> np.ndarray:
 
 
 def _nodes_weights(edges: np.ndarray, order: int):
-    """Symmetric (+/-) nodes and weights for the given positive-side edges."""
+    """Nodes and weights on the positive-side panels ``edges``; the tables
+    mirror them to -v."""
     gx, gw = _gl_rule(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     vs = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     ws = (half[:, None] * gw[None, :]).ravel()
-    vs = np.concatenate([-vs[::-1], vs])
-    ws = np.concatenate([ws[::-1], ws])
     return vs, ws
 
 
 def _auto_v_max(envelope: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid) -> float:
-    """Grow v until the integrand envelope stays below tail_tol."""
+    """Smallest v on the ladder 8, 8*1.25, 8*1.25^2, ... <= v_cap at which the
+    integrand envelope has stayed below tail_tol for three consecutive rungs;
+    the envelope is evaluated once on the whole ladder."""
     if grid.v_max is not None:
         return grid.v_max
+    ladder = []
     v = 8.0
-    hits = 0
     while v <= grid.v_cap:
-        if float(envelope(np.array([v]))[0]) < grid.tail_tol:
-            hits += 1
-            if hits >= 3:
-                return v
-        else:
-            hits = 0
+        ladder.append(v)
         v *= 1.25
+    if len(ladder) >= 3:
+        below = envelope(np.array(ladder)) < grid.tail_tol
+        third = below[2:] & below[1:-1] & below[:-2]
+        if third.any():
+            return ladder[int(np.argmax(third)) + 2]
     raise TruncationError(
         f"integrand envelope not below {grid.tail_tol:g} within v <= {grid.v_cap:g}"
     )
 
 
+def _stack(half_ws) -> np.ndarray:
+    """[Re w; Im w] / pi with one column per integrand's v > 0 weights."""
+    w = np.column_stack(half_ws)
+    return np.concatenate([w.real, w.imag]) / math.pi
+
+
+def _positive_half(vs: np.ndarray, weights):
+    """v > 0 half of a symmetric node set and the stacked weights of every
+    integrand on it.  The half sum is exact only for conjugate-symmetric
+    weights, w(-v) = conj(w(v)); a weight vector whose asymmetry exceeds
+    IMAG_RESIDUAL_TOL of its l1 norm raises QuadratureError."""
+    h = vs.size // 2
+    if vs.size % 2 or not np.array_equal(vs[:h][::-1], -vs[h:]):
+        raise QuadratureError("quadrature nodes are not symmetric in +/-v")
+    half = []
+    for w in weights:
+        w = np.asarray(w, dtype=complex)
+        asym = float(np.sum(np.abs(w[:h][::-1] - np.conj(w[h:]))))
+        scale = float(np.sum(np.abs(w)))
+        if asym > IMAG_RESIDUAL_TOL * scale:
+            raise QuadratureError(
+                f"imaginary residual {asym / scale:.3g} exceeds tolerance: "
+                "weights are not conjugate-symmetric in v"
+            )
+        half.append(w[h:])
+    return vs[h:], _stack(half)
+
+
+def _half_sum(xs, vs: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
+    """(1/pi) e^{alpha x} sum_{v>0} [Re w cos(vx) + Im w sin(vx)] at every
+    point of xs (flattened) for every column of W = _stack(...): the real
+    part of the full symmetric sum (1/2pi) sum_v w e^{-(iv - alpha) x}.
+    One [cos | sin] @ W product per block of points gives all columns."""
+    x = np.ravel(xs)
+    h = vs.size
+    out = np.empty((x.size, W.shape[1]))
+    step = max(1, EVAL_BLOCK // (2 * h))
+    trig = np.empty((min(step, x.size), 2 * h))
+    for i in range(0, x.size, step):
+        xb = x[i : i + step]
+        tb = trig[: xb.size]
+        np.multiply.outer(xb, vs, out=tb[:, :h])
+        np.sin(tb[:, :h], out=tb[:, h:])
+        np.cos(tb[:, :h], out=tb[:, :h])
+        ob = np.matmul(tb, W, out=out[i : i + step])
+        if alpha:
+            ob *= np.exp(alpha * xb)[:, None]
+    return out
+
+
 class MultiTable:
     """Several contour integrals sharing one adapted node set.
 
-    Each entry of ``base_ws`` holds weights x multiplier x transform x phi for
-    one integrand; ``eval_all(xs)`` computes the costly exp(-z_v x) matrix
-    once and applies every weight vector to it.
+    ``zs`` is the full symmetric node set z_v = i v - alpha and each entry of
+    ``base_ws`` holds weights x multiplier x transform x phi on it for one
+    integrand.  The constructor checks that every entry is conjugate-symmetric
+    and keeps the v > 0 half; ``eval_all(xs)`` computes the trig matrix of the
+    points once and applies every integrand's weights to it in one product
+    (``_half_sum``).
     """
 
     def __init__(self, zs, base_ws, err_estimate):
         self.zs = zs
-        self.base_ws = list(base_ws)
         self.err_estimate = err_estimate
+        self._alpha = -float(zs[0].real)
+        self._vs, self._W = _positive_half(zs.imag, base_ws)
 
     def eval_all(self, xs):
         xs = np.asarray(xs, dtype=float)
-        scalar = xs.ndim == 0
-        xv = np.atleast_1d(xs)
-        outs = [np.empty(xv.size) for _ in self.base_ws]
-        chunk = max(1, int(4e6 // max(self.zs.size, 1)))
-        if xv.size > 64:
-            # real-arithmetic path: exp(-x z_v) = e^{alpha x}(cos(xv) - i sin(xv))
-            # with alpha = -Re(z_v); the real parts of the contour sums only
-            # need two real matrix products.  The conjugate-symmetric node set
-            # makes the imaginary residual structurally zero here.
-            alpha = -float(self.zs[0].real)
-            vs = self.zs.imag
-            for i in range(0, xv.size, chunk):
-                xb = xv[i : i + chunk]
-                m = np.multiply.outer(xb, vs)
-                cos_m = np.cos(m)
-                sin_m = np.sin(m)
-                damp = np.exp(alpha * xb)
-                for out, bw in zip(outs, self.base_ws):
-                    out[i : i + chunk] = damp * (cos_m @ bw.real + sin_m @ bw.imag)
-        else:
-            for i in range(0, xv.size, chunk):
-                ex = np.exp(np.multiply.outer(-xv[i : i + chunk], self.zs))
-                for out, bw in zip(outs, self.base_ws):
-                    block = ex @ bw
-                    resid = np.max(np.abs(block.imag)) / (
-                        1.0 + np.max(np.abs(block.real))
-                    )
-                    if resid > IMAG_RESIDUAL_TOL:
-                        raise QuadratureError(
-                            f"imaginary residual {resid:.3g} exceeds tolerance"
-                        )
-                    out[i : i + chunk] = block.real
-        for out in outs:
-            out /= 2.0 * math.pi
-        if scalar:
-            return [float(out[0]) for out in outs]
-        return outs
-
-
-class ContourTable(MultiTable):
-    """Single-integrand view of a MultiTable."""
-
-    def __init__(self, zs, base_w, err_estimate):
-        super().__init__(zs, [base_w], err_estimate)
-        self.base_w = base_w
-
-    def eval(self, xs):
-        return self.eval_all(xs)[0]
+        vals = _half_sum(xs, self._vs, self._W, self._alpha)
+        if xs.ndim == 0:
+            return [float(v) for v in vals[0]]
+        return [col.reshape(xs.shape) for col in vals.T]
 
 
 def _check_contour_domain(model: LevyModel, payoff: DampedPayoff, alpha: float):
@@ -238,17 +261,12 @@ def make_multi_table(
 
     v_max = _auto_v_max(envelope, grid)
 
-    def integrand_sets(vs):
+    def weighted(vs, ws):
         zs = 1j * vs - alpha
-        w = 1j * zs
-        base = payoff.transform_contour(zs) * np.exp(tau * model.psi(w))
-        return zs, [base if m is None else base * m(zs) for m in multipliers]
+        base = payoff.transform_contour(zs) * np.exp(tau * model.psi(1j * zs))
+        return zs, [(base if m is None else base * m(zs)) * ws for m in multipliers]
 
     base_edges = _panel_edges(v_max, omega, n_min_panels=max(8, grid.n_nodes // 32))
-
-    def probe_values(zs, vals_list, ws):
-        ex = np.exp(np.multiply.outer(-x_probe, zs))
-        return [ex @ (vals * ws) for vals in vals_list]
 
     prev = None
     for level in range(7):
@@ -256,18 +274,21 @@ def make_multi_table(
         if 2 * (edges.size - 1) * 24 > grid.max_nodes:
             raise TruncationError("node budget exhausted before convergence")
         vs16, ws16 = _nodes_weights(edges, 16)
-        zs16, lo_list = integrand_sets(vs16)
-        p_lo = probe_values(zs16, lo_list, ws16)
+        p_lo = _half_sum(x_probe, vs16, _stack(weighted(vs16, ws16)[1]), alpha)
         vs24, ws24 = _nodes_weights(edges, 24)
-        zs24, hi_list = integrand_sets(vs24)
-        p_hi = probe_values(zs24, hi_list, ws24)
-        errs = [float(np.max(np.abs(h - l))) for h, l in zip(p_hi, p_lo)]
-        scales = [1.0 + float(np.max(np.abs(h))) for h in p_hi]
-        if all(e <= grid.tol * s * 2.0 * math.pi for e, s in zip(errs, scales)):
+        zs24, hi = weighted(vs24, ws24)
+        p_hi = _half_sum(x_probe, vs24, _stack(hi), alpha)
+        errs = np.max(np.abs(p_hi - p_lo), axis=0)
+        # tolerance relative to 1 + |2pi F|, the scale of the unnormalised sum
+        scales = 1.0 + 2.0 * math.pi * np.max(np.abs(p_hi), axis=0)
+        if np.all(errs <= grid.tol * scales):
+            zs_neg, neg = weighted(-vs24[::-1], ws24[::-1])
             return MultiTable(
-                zs24, [vals * ws24 for vals in hi_list], max(errs) / (2.0 * math.pi)
+                np.concatenate([zs_neg, zs24]),
+                [np.concatenate(pair) for pair in zip(neg, hi)],
+                float(np.max(errs)),
             )
-        prev = max(errs)
+        prev = float(np.max(errs))
     raise QuadratureError(
         f"contour quadrature did not converge (last probe error {prev:.3g})"
     )
@@ -282,13 +303,12 @@ def make_table(
     multiplier: Callable[[np.ndarray], np.ndarray] | None = None,
     x_probe=None,
     extra_omega: float = 0.0,
-) -> ContourTable:
+) -> MultiTable:
     """Build an adaptive contour table for one (t, multiplier) pair."""
-    mt = make_multi_table(
+    return make_multi_table(
         model, payoff, grid, t, T, [multiplier], x_probe=x_probe,
         extra_omega=extra_omega,
     )
-    return ContourTable(mt.zs, mt.base_ws[0], mt.err_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +436,7 @@ def _digital_tail_probability(model, t, T, q, tol):
     edges = _panel_edges(v_max, abs(q), n_min_panels=8)
 
     def value(order):
-        gx, gw = _gl_rule(order)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        vs = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        ws = (half[:, None] * gw[None, :]).ravel()
+        vs, ws = _nodes_weights(edges, order)
         g = np.imag(np.exp(-1j * vs * q) * np.exp(tau * model.psi(vs))) / vs
         return 0.5 + float(g @ ws) / math.pi
 
@@ -438,10 +454,6 @@ def _digital_tail_probability(model, t, T, q, tol):
 # public operations
 
 
-def _constant_payoff_value(payoff):
-    return payoff.params[0] if payoff.kind == "constant" else None
-
-
 def conditional_value(model, payoff, grid, t, x, T):
     """F(t, x) = E[f(X_T) | X_t = x]."""
     if payoff.kind == "constant":
@@ -455,7 +467,7 @@ def conditional_value(model, payoff, grid, t, x, T):
             raise
         c = payoff.params[0]
         return _digital_tail_probability(model, t, T, c - x, grid.tol)
-    return table.eval(x)
+    return table.eval_all(x)[0]
 
 
 def conditional_value_batch(model, payoff, grid, t, xs, T):
@@ -473,14 +485,14 @@ def conditional_value_batch(model, payoff, grid, t, xs, T):
         return np.array(
             [_digital_tail_probability(model, t, T, c - x, grid.tol) for x in xs]
         )
-    return table.eval(xs)
+    return table.eval_all(xs)[0]
 
 
 def dF_dx(model, payoff, grid, t, x, T):
     if payoff.kind == "constant":
         return 0.0
     table = make_table(model, payoff, grid, t, T, multiplier=_mult_dx, x_probe=np.array([x]))
-    return table.eval(x)
+    return table.eval_all(x)[0]
 
 
 def dF_dx_batch(model, payoff, grid, t, xs, T):
@@ -488,14 +500,14 @@ def dF_dx_batch(model, payoff, grid, t, xs, T):
     if payoff.kind == "constant":
         return np.zeros_like(xs)
     table = make_table(model, payoff, grid, t, T, multiplier=_mult_dx, x_probe=xs)
-    return table.eval(xs)
+    return table.eval_all(xs)[0]
 
 
 def d2F_dx2(model, payoff, grid, t, x, T):
     if payoff.kind == "constant":
         return 0.0
     table = make_table(model, payoff, grid, t, T, multiplier=_mult_dxx, x_probe=np.array([x]))
-    return table.eval(x)
+    return table.eval_all(x)[0]
 
 
 def dF_dt(model, payoff, grid, t, x, T):
@@ -504,7 +516,7 @@ def dF_dt(model, payoff, grid, t, x, T):
     table = make_table(
         model, payoff, grid, t, T, multiplier=_make_mult_dt(model), x_probe=np.array([x])
     )
-    return table.eval(x)
+    return table.eval_all(x)[0]
 
 
 def jump_difference(model, payoff, grid, t, x, y, T):
@@ -515,7 +527,7 @@ def jump_difference(model, payoff, grid, t, x, y, T):
         model, payoff, grid, t, T,
         multiplier=_make_mult_jump(y), x_probe=np.array([x]), extra_omega=abs(y),
     )
-    return table.eval(x)
+    return table.eval_all(x)[0]
 
 
 def jump_compensator(model, payoff, grid, t, x, T):
@@ -526,7 +538,7 @@ def jump_compensator(model, payoff, grid, t, x, T):
         model, payoff, grid, t, T, multiplier=_make_mult_nu_plain(model),
         x_probe=np.array([x]),
     )
-    return table.eval(x)
+    return table.eval_all(x)[0]
 
 
 def pide_residual(model, payoff, grid, t, x, T):
@@ -542,7 +554,7 @@ def pide_residual(model, payoff, grid, t, x, T):
             model, payoff, grid, t, T,
             multiplier=_make_mult_nu_compensated(model), x_probe=np.array([x]),
         )
-        terms += table.eval(x)
+        terms += table.eval_all(x)[0]
     return terms
 
 
@@ -551,26 +563,24 @@ def pide_residual(model, payoff, grid, t, x, T):
 
 
 class DensityTable:
-    """Real-axis inversion table: p_t(y) = (1/2pi) int e^{-ivy} phi(t, v) dv."""
+    """Real-axis inversion table: p_t(y) = (1/2pi) int e^{-ivy} phi(t, v) dv.
+
+    Built from the full symmetric nodes ``vs`` and weights phi x quadrature
+    weight; like MultiTable it checks conjugate symmetry and keeps the v > 0
+    half (``_half_sum`` with alpha = 0)."""
 
     def __init__(self, vs, base_w, err_estimate):
         self.vs = vs
-        self.base_w = base_w
         self.err_estimate = err_estimate
+        self._v, self._W = _positive_half(vs, [base_w])
 
     def eval(self, ys):
         ys = np.asarray(ys, dtype=float)
-        scalar = ys.ndim == 0
-        yv = np.atleast_1d(ys)
-        out = np.empty(yv.size)
-        chunk = max(1, int(4e6 // max(self.vs.size, 1)))
-        for i in range(0, yv.size, chunk):
-            block = np.exp(-1j * np.multiply.outer(yv[i : i + chunk], self.vs)) @ self.base_w
-            out[i : i + chunk] = block.real
-        out /= 2.0 * math.pi
+        out = _half_sum(ys, self._v, self._W, 0.0)[:, 0]
         # clip tiny negative undershoot from truncation
-        out[np.abs(out) < 1e-10] = np.maximum(out[np.abs(out) < 1e-10], 0.0)
-        return float(out[0]) if scalar else out
+        small = np.abs(out) < 1e-10
+        out[small] = np.maximum(out[small], 0.0)
+        return float(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
 
 
 def make_density_table(model, grid, t, T, y_probe=None) -> DensityTable:
@@ -588,21 +598,26 @@ def make_density_table(model, grid, t, T, y_probe=None) -> DensityTable:
     v_max = _auto_v_max(envelope, replace(grid, tail_tol=min(grid.tail_tol, 1e-13)))
     base_edges = _panel_edges(v_max, omega, n_min_panels=max(8, grid.n_nodes // 32))
 
-    def probe_value(vs, vals, ws):
-        return np.exp(-1j * np.multiply.outer(y_probe, vs)) @ (vals * ws)
+    def weighted(vs, ws):
+        return np.exp(tau * model.psi(vs)) * ws
 
     for level in range(7):
         edges = _split_edges(base_edges, 2**level)
         if 2 * (edges.size - 1) * 24 > grid.max_nodes:
             raise TruncationError("density node budget exhausted")
         vs16, ws16 = _nodes_weights(edges, 16)
-        p_lo = probe_value(vs16, np.exp(tau * model.psi(vs16)), ws16)
+        p_lo = _half_sum(y_probe, vs16, _stack([weighted(vs16, ws16)]), 0.0)
         vs24, ws24 = _nodes_weights(edges, 24)
-        vals24 = np.exp(tau * model.psi(vs24))
-        p_hi = probe_value(vs24, vals24, ws24)
+        w24 = weighted(vs24, ws24)
+        p_hi = _half_sum(y_probe, vs24, _stack([w24]), 0.0)
         err = float(np.max(np.abs(p_hi - p_lo)))
-        if err <= grid.tol * (1.0 + float(np.max(np.abs(p_hi)))) * 2.0 * math.pi:
-            return DensityTable(vs24, vals24 * ws24, err / (2.0 * math.pi))
+        # tolerance relative to 1 + |2pi p|, the scale of the unnormalised sum
+        if err <= grid.tol * (1.0 + 2.0 * math.pi * float(np.max(np.abs(p_hi)))):
+            return DensityTable(
+                np.concatenate([-vs24[::-1], vs24]),
+                np.concatenate([weighted(-vs24[::-1], ws24[::-1]), w24]),
+                err,
+            )
     raise QuadratureError("density quadrature did not converge")
 
 
