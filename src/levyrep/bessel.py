@@ -42,24 +42,6 @@ def _k1_series(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _k1_integral(x: np.ndarray, n_nodes: int = 240) -> np.ndarray:
-    """K1(x) = int_0^infty exp(-x cosh t) cosh t dt, trapezoidal rule.
-
-    The integrand decays double-exponentially, so the trapezoid converges
-    spectrally.  Truncation where x cosh t exceeds x + 60.
-    """
-    x = np.asarray(x, dtype=float)
-    xmin = float(np.min(x))
-    t_max = np.arccosh(1.0 + 60.0 / xmin)
-    t = np.linspace(0.0, t_max, n_nodes)
-    h = t[1] - t[0]
-    ch = np.cosh(t)
-    vals = np.exp(-np.multiply.outer(x, ch)) * ch
-    w = np.full(n_nodes, h)
-    w[0] = w[-1] = h / 2.0
-    return vals @ w
-
-
 def k1(x):
     """K1 for positive real arguments; scalar or array."""
     arr = np.asarray(x, dtype=float)
@@ -72,7 +54,7 @@ def k1(x):
     if np.any(small):
         out[small] = _k1_series(arr[small])
     if np.any(~small):
-        out[~small] = _k1_integral(arr[~small])
+        out[~small] = k1e(arr[~small]) * np.exp(-arr[~small])
     return float(out[0]) if scalar else out
 
 
@@ -88,6 +70,9 @@ def k1e(x):
     if np.any(small):
         out[small] = _k1_series(arr[small]) * np.exp(arr[small])
     if np.any(~small):
+        # K1(x) = int_0^infty exp(-x cosh t) cosh t dt, scaled by e^x; the
+        # integrand decays double-exponentially, so the trapezoid converges
+        # spectrally.  Truncation where x cosh t exceeds x + 60.
         xs = arr[~small]
         xmin = float(np.min(xs))
         t_max = np.arccosh(1.0 + 60.0 / xmin)

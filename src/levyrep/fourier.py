@@ -20,6 +20,15 @@ probes alike -- runs over the v > 0 half only, in real arithmetic:
 once, when ``MultiTable`` or ``DensityTable`` is constructed from the full
 symmetric node set, so an asymmetric multiplier raises QuadratureError
 whatever the number of points later evaluated.
+
+The public operations -- ``conditional_value``, ``dF_dx``, ``d2F_dx2``,
+``dF_dt``, ``jump_difference``, ``jump_compensator``, the nu-term of
+``pide_residual`` and ``density`` -- each build one table tuned at the
+requested points themselves (``_contour``; ``make_density_table`` for the
+density) and return a float for a scalar point, an array of the input's
+shape otherwise.  ``conditional_value_batch``, ``dF_dx_batch`` and
+``density_batch`` are the same functions under their batch names.
+Multi-integrand tables for the path drivers come from ``make_multi_table``.
 """
 
 from __future__ import annotations
@@ -46,33 +55,42 @@ class QuadratureGrid:
     alpha: float = 1.0
     v_max: float | None = None  # None -> grow until the envelope is negligible
     n_nodes: int = 256
-    rule: str = "gauss-legendre-panels"
     tol: float = 1e-9
     tail_tol: float = 1e-12
     v_cap: float = 1e6
     max_nodes: int = 400_000
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ParameterError("alpha must be finite")
         if self.n_nodes < 64 or self.n_nodes % 2:
             raise ParameterError("n_nodes must be even and >= 64")
-        if self.v_max is not None and self.v_max <= 0:
-            raise ParameterError("v_max must be positive")
-        if self.tol <= 0:
-            raise ParameterError("tol must be positive")
+        if self.v_max is not None and not 0 < self.v_max < math.inf:
+            raise ParameterError("v_max must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ParameterError("tol must be positive and finite")
+
+
+# config keys of grid_from_dict and the type each is read as
+_GRID_KEYS = {"alpha": float, "v_max": float, "n_nodes": int, "tol": float}
 
 
 def grid_from_dict(spec: dict) -> QuadratureGrid:
+    """QuadratureGrid from a config's ``grid`` block; ``v_max`` may be
+    None or "auto".  Unknown keys and non-numeric values raise
+    ParameterError."""
+    unknown = sorted(set(spec) - set(_GRID_KEYS))
+    if unknown:
+        raise ParameterError(f"unknown grid keys {unknown}; known: {sorted(_GRID_KEYS)}")
     kwargs = {}
-    if "alpha" in spec:
-        kwargs["alpha"] = float(spec["alpha"])
-    if "v_max" in spec:
-        kwargs["v_max"] = None if spec["v_max"] in (None, "auto") else float(spec["v_max"])
-    if "n_nodes" in spec:
-        kwargs["n_nodes"] = int(spec["n_nodes"])
-    if "rule" in spec:
-        kwargs["rule"] = str(spec["rule"])
-    if "tol" in spec:
-        kwargs["tol"] = float(spec["tol"])
+    for key, value in spec.items():
+        if key == "v_max" and value in (None, "auto"):
+            kwargs[key] = None
+            continue
+        try:
+            kwargs[key] = _GRID_KEYS[key](value)
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError(f"grid {key} must be a number, got {value!r}") from None
     return QuadratureGrid(**kwargs)
 
 
@@ -294,29 +312,8 @@ def make_multi_table(
     )
 
 
-def make_table(
-    model: LevyModel,
-    payoff: DampedPayoff,
-    grid: QuadratureGrid,
-    t: float,
-    T: float,
-    multiplier: Callable[[np.ndarray], np.ndarray] | None = None,
-    x_probe=None,
-    extra_omega: float = 0.0,
-) -> MultiTable:
-    """Build an adaptive contour table for one (t, multiplier) pair."""
-    return make_multi_table(
-        model, payoff, grid, t, T, [multiplier], x_probe=x_probe,
-        extra_omega=extra_omega,
-    )
-
-
 # ---------------------------------------------------------------------------
 # multipliers
-
-
-def _mult_identity(zs):
-    return 1.0
 
 
 def _mult_dx(zs):
@@ -325,22 +322,6 @@ def _mult_dx(zs):
 
 def _mult_dxx(zs):
     return zs * zs
-
-
-def _make_mult_dt(model):
-    def mult(zs):
-        return -model.psi(1j * zs)
-
-    return mult
-
-
-def _make_mult_nu_compensated(model):
-    """int (e^{-z_v y} - 1 + z_v y) nu(dy) as a function of z_v."""
-
-    def mult(zs):
-        return model.jump_exponent(1j * zs)
-
-    return mult
 
 
 def _make_mult_nu_plain(model):
@@ -454,108 +435,86 @@ def _digital_tail_probability(model, t, T, q, tol):
 # public operations
 
 
+def _full(x, c):
+    """c as a float for scalar x, else an array of x's shape filled with c."""
+    return float(c) if np.ndim(x) == 0 else np.full(np.shape(x), float(c))
+
+
+def _contour(model, payoff, grid, t, x, T, multiplier=None, extra_omega=0.0):
+    """The contour integral of one multiplier (None for F itself) at x, on a
+    table tuned at x itself: a float for scalar x, else an array of x's
+    shape.  A constant payoff needs no table: F is the constant, and every
+    multiplier (derivatives, jump terms) gives 0."""
+    if payoff.kind == "constant":
+        return _full(x, 0.0 if multiplier is not None else payoff.params[0])
+    xs = np.asarray(x, dtype=float)
+    table = make_multi_table(
+        model, payoff, grid, t, T, [multiplier], x_probe=xs, extra_omega=extra_omega
+    )
+    return table.eval_all(xs)[0]
+
+
 def conditional_value(model, payoff, grid, t, x, T):
     """F(t, x) = E[f(X_T) | X_t = x]."""
-    if payoff.kind == "constant":
-        return float(payoff.params[0])
+    xs = np.asarray(x, dtype=float)
     if t == T:
-        return float(np.atleast_1d(payoff.f(np.array(x)))[0])
+        f = payoff.f(xs)
+        return float(f) if xs.ndim == 0 else f
     try:
-        table = make_table(model, payoff, grid, t, T, x_probe=np.array([x]))
+        return _contour(model, payoff, grid, t, xs, T)
     except TruncationError:
         if payoff.kind != "digital":
             raise
-        c = payoff.params[0]
-        return _digital_tail_probability(model, t, T, c - x, grid.tol)
-    return table.eval_all(x)[0]
-
-
-def conditional_value_batch(model, payoff, grid, t, xs, T):
-    xs = np.asarray(xs, dtype=float)
-    if payoff.kind == "constant":
-        return np.full_like(xs, payoff.params[0])
-    if t == T:
-        return payoff.f(xs)
-    try:
-        table = make_table(model, payoff, grid, t, T, x_probe=xs)
-    except TruncationError:
-        if payoff.kind != "digital":
-            raise
-        c = payoff.params[0]
-        return np.array(
-            [_digital_tail_probability(model, t, T, c - x, grid.tol) for x in xs]
-        )
-    return table.eval_all(xs)[0]
+    p = [_digital_tail_probability(model, t, T, payoff.params[0] - xi, grid.tol)
+         for xi in xs.ravel()]
+    return p[0] if xs.ndim == 0 else np.reshape(p, xs.shape)
 
 
 def dF_dx(model, payoff, grid, t, x, T):
-    if payoff.kind == "constant":
-        return 0.0
-    table = make_table(model, payoff, grid, t, T, multiplier=_mult_dx, x_probe=np.array([x]))
-    return table.eval_all(x)[0]
-
-
-def dF_dx_batch(model, payoff, grid, t, xs, T):
-    xs = np.asarray(xs, dtype=float)
-    if payoff.kind == "constant":
-        return np.zeros_like(xs)
-    table = make_table(model, payoff, grid, t, T, multiplier=_mult_dx, x_probe=xs)
-    return table.eval_all(xs)[0]
+    return _contour(model, payoff, grid, t, x, T, multiplier=_mult_dx)
 
 
 def d2F_dx2(model, payoff, grid, t, x, T):
-    if payoff.kind == "constant":
-        return 0.0
-    table = make_table(model, payoff, grid, t, T, multiplier=_mult_dxx, x_probe=np.array([x]))
-    return table.eval_all(x)[0]
+    return _contour(model, payoff, grid, t, x, T, multiplier=_mult_dxx)
 
 
 def dF_dt(model, payoff, grid, t, x, T):
-    if payoff.kind == "constant":
-        return 0.0
-    table = make_table(
-        model, payoff, grid, t, T, multiplier=_make_mult_dt(model), x_probe=np.array([x])
-    )
-    return table.eval_all(x)[0]
+    return _contour(model, payoff, grid, t, x, T,
+                    multiplier=lambda zs: -model.psi(1j * zs))
 
 
 def jump_difference(model, payoff, grid, t, x, y, T):
     """F(t, x + y) - F(t, x) as a single quadrature with factor e^{-z_v y} - 1."""
-    if payoff.kind == "constant" or y == 0.0:
-        return 0.0
-    table = make_table(
-        model, payoff, grid, t, T,
-        multiplier=_make_mult_jump(y), x_probe=np.array([x]), extra_omega=abs(y),
-    )
-    return table.eval_all(x)[0]
+    if y == 0.0:
+        return _full(x, 0.0)
+    return _contour(model, payoff, grid, t, x, T, multiplier=_make_mult_jump(y),
+                    extra_omega=abs(y))
 
 
 def jump_compensator(model, payoff, grid, t, x, T):
-    """int (F(t, x + y) - F(t, x)) nu(dy) for finite-variation jump parts."""
+    """int (F(t, x + y) - F(t, x)) nu(dy) for finite-variation jump parts;
+    0 for a constant payoff whatever the jump variation."""
     if payoff.kind == "constant":
-        return 0.0
-    table = make_table(
-        model, payoff, grid, t, T, multiplier=_make_mult_nu_plain(model),
-        x_probe=np.array([x]),
-    )
-    return table.eval_all(x)[0]
+        return _full(x, 0.0)
+    return _contour(model, payoff, grid, t, x, T, multiplier=_make_mult_nu_plain(model))
 
 
 def pide_residual(model, payoff, grid, t, x, T):
     """Residual of dF/dt + mu dF/dx + (sigma^2/2) d2F/dx2 + compensated
     nu-integral; each term is quadratured independently."""
-    if payoff.kind == "constant":
-        return 0.0
     terms = dF_dt(model, payoff, grid, t, x, T)
     terms += model.mu * dF_dx(model, payoff, grid, t, x, T)
     terms += 0.5 * model.sigma**2 * d2F_dx2(model, payoff, grid, t, x, T)
     if not isinstance(model, BrownianModel):
-        table = make_table(
-            model, payoff, grid, t, T,
-            multiplier=_make_mult_nu_compensated(model), x_probe=np.array([x]),
-        )
-        terms += table.eval_all(x)[0]
+        # int (e^{-z_v y} - 1 + z_v y) nu(dy) = J(i z_v)
+        terms += _contour(model, payoff, grid, t, x, T,
+                          multiplier=lambda zs: model.jump_exponent(1j * zs))
     return terms
+
+
+# the batch names of the pointwise operations, which take arrays as well
+conditional_value_batch = conditional_value
+dF_dx_batch = dF_dx
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +581,10 @@ def make_density_table(model, grid, t, T, y_probe=None) -> DensityTable:
 
 
 def density(model, grid, t, T, y):
-    """p_t(y): density of X_T - X_t at y."""
-    table = make_density_table(model, grid, t, T, y_probe=np.array([y]))
-    return table.eval(y)
+    """p_t(y): density of X_T - X_t at y; a float for scalar y, else an
+    array of y's shape."""
+    ys = np.asarray(y, dtype=float)
+    return make_density_table(model, grid, t, T, y_probe=ys).eval(ys)
 
 
-def density_batch(model, grid, t, T, ys):
-    ys = np.asarray(ys, dtype=float)
-    table = make_density_table(model, grid, t, T, y_probe=ys)
-    return table.eval(ys)
+density_batch = density

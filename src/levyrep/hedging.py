@@ -17,7 +17,7 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,6 +136,15 @@ def hedge_components_batch(
     return F, kappa, nu_int, psi_comp, table.err_estimate
 
 
+def _lrm_ratio(market: MarketSpec, transform: MmmTransform, s_hat, kappa, nu_int):
+    """xi = e^{-rT} (kappa sigma^2 + nu_integral) / (S^ (sigma^2 + C2))."""
+    sigma = market.model.sigma
+    return (
+        math.exp(-market.r * market.T) / (s_hat * (sigma**2 + transform.c2))
+        * (kappa * sigma**2 + nu_int)
+    )
+
+
 def lrm_xi(
     market: MarketSpec,
     transform: MmmTransform,
@@ -147,27 +156,17 @@ def lrm_xi(
     """Units of the risky asset held by the locally risk-minimizing strategy."""
     if s_hat_minus <= 0:
         raise ParameterError("discounted price must be positive")
-    sigma = market.model.sigma
     _, kappa, nu_int, _, _ = hedge_components_batch(
         market, transform, grid, t, np.array([x_t])
     )
-    denom = sigma**2 + transform.c2
-    return float(
-        math.exp(-market.r * market.T) / (s_hat_minus * denom)
-        * (kappa[0] * sigma**2 + nu_int[0])
-    )
+    return float(_lrm_ratio(market, transform, s_hat_minus, kappa[0], nu_int[0]))
 
 
 def hedge_components(market, transform, grid, t, x_t) -> HedgeComponents:
-    sigma = market.model.sigma
     _, kappa, nu_int, _, err = hedge_components_batch(
         market, transform, grid, t, np.array([x_t])
     )
-    s_hat = math.exp(x_t)
-    xi = (
-        math.exp(-market.r * market.T) / (s_hat * (sigma**2 + transform.c2))
-        * (kappa[0] * sigma**2 + nu_int[0])
-    )
+    xi = _lrm_ratio(market, transform, math.exp(x_t), kappa[0], nu_int[0])
     return HedgeComponents(float(kappa[0]), float(nu_int[0]), float(xi), err)
 
 
@@ -190,17 +189,13 @@ def hedge_grid(
         s_hi = 2.0 * market.K
     ts = np.linspace(0.0, 0.98 * market.T, n_t)
     ss = np.geomspace(s_lo, s_hi, n_s)
-    sigma = market.model.sigma
-    denom = sigma**2 + transform.c2
-    disc = math.exp(-market.r * market.T)
     rows = []
     for t in ts:
         xs = np.log(ss) - market.r * t  # X_t with S_t = e^{rt + X_t}
         _, kappa, nu_int, _, err = hedge_components_batch(
             market, transform, grid, t, xs
         )
-        s_hat = np.exp(xs)
-        xi = disc / (s_hat * denom) * (kappa * sigma**2 + nu_int)
+        xi = _lrm_ratio(market, transform, np.exp(xs), kappa, nu_int)
         for s, k_, n_, x_ in zip(ss, kappa, nu_int, xi):
             rows.append((float(t), float(s), float(x_), float(k_), float(n_), err))
     return rows
@@ -208,20 +203,6 @@ def hedge_grid(
 
 # ---------------------------------------------------------------------------
 # path studies
-
-
-def _select_path(batch: PathBatch, p: int) -> PathBatch:
-    sel = batch.jump_path == p
-    return replace(
-        batch,
-        x=batch.x[p : p + 1],
-        dW=batch.dW[p : p + 1],
-        dB=batch.dB[p : p + 1],
-        jump_path=np.zeros(int(sel.sum()), dtype=int),
-        jump_step=batch.jump_step[sel],
-        jump_time=batch.jump_time[sel],
-        jump_size=batch.jump_size[sel],
-    )
 
 
 def fs_path_study(
@@ -248,7 +229,6 @@ def fs_path_study(
                 "use scheme='marks' for decomposition studies"
             )
     sigma = model.sigma
-    denom = sigma**2 + transform.c2
     disc = math.exp(-market.r * market.T)
     m1_exp = _exp_jump_mean(market, eps)
     n_paths, n_steps, dt = batch.n_paths, batch.n_steps, batch.dt
@@ -258,14 +238,9 @@ def fs_path_study(
     bracket = np.zeros(n_paths)
     h0 = np.zeros(n_paths)
 
-    for k in range(n_steps):
-        t = batch.times[k]
-        xk = batch.x[:, k]
+    for k, t, xk, jp, jy in batch.steps():
         s_hat = np.exp(xk)
-        sel = batch.jump_step == k
-        jp = batch.jump_path[sel]
-        jy = batch.jump_size[sel]
-        pts = np.concatenate([xk, xk[jp] + jy]) if jy.size else xk
+        pts = np.concatenate([xk, xk[jp] + jy])
         F_all, kappa, nu_int, psi_comp, _ = hedge_components_batch(
             market, transform, grid, t, pts, eps=eps, with_psi_compensator=True
         )
@@ -275,7 +250,7 @@ def fs_path_study(
         psi_comp = psi_comp[:n_paths]
         if k == 0:
             h0 = disc * F.copy()  # per-path H^_0 = e^{-rT} F*(0, X_0)
-        xi = xi_scale * disc / (s_hat * denom) * (kappa * sigma**2 + nu_int)
+        xi = xi_scale * _lrm_ratio(market, transform, s_hat, kappa, nu_int)
 
         # hedge gains against the discounted price
         s_next = np.exp(batch.x[:, k + 1])
@@ -289,12 +264,11 @@ def fs_path_study(
             bracket += a * sigma * s_hat * sigma * dt
         comp = disc * psi_comp - xi * s_hat * m1_exp
         l_fs -= comp * dt
-        if jy.size:
-            psi_star_j = F_all[n_paths:] - F[jp]
-            dl = disc * psi_star_j - xi[jp] * s_hat[jp] * (np.exp(jy) - 1.0)
-            np.add.at(l_fs, jp, dl)
-            # jump part of the covariation with dM^ = S^_{-}(e^y - 1)
-            np.add.at(bracket, jp, dl * s_hat[jp] * (np.exp(jy) - 1.0))
+        psi_star_j = F_all[n_paths:] - F[jp]
+        dl = disc * psi_star_j - xi[jp] * s_hat[jp] * (np.exp(jy) - 1.0)
+        np.add.at(l_fs, jp, dl)
+        # jump part of the covariation with dM^ = S^_{-}(e^y - 1)
+        np.add.at(bracket, jp, dl * s_hat[jp] * (np.exp(jy) - 1.0))
 
     x_T = batch.x[:, -1]
     claim = disc * (x_T >= market.strike_level()).astype(float)
@@ -327,7 +301,7 @@ def fs_decomposition_on_path(
 ) -> dict:
     """Decomposition report for a single path: terminal identity error,
     running orthogonal remainder and final risk-free position eta."""
-    single = _select_path(batch, path_index)
+    single = batch.select(path_index)
     report = fs_path_study(market, transform, grid, single)
     v_hat_T = report["h0"] + report["gains"][0] + report["l_fs"][0]
     x_last = single.x[0, -1]

@@ -266,23 +266,16 @@ def replicate_batch(integrands: RepresentationIntegrands, batch: PathBatch) -> d
     model = integrands.model
     n_paths, n_steps, dt = batch.n_paths, batch.n_steps, batch.dt
     R = np.full(n_paths, integrands.mean)
-    for k in range(n_steps):
-        s = batch.times[k]
-        xk = batch.x[:, k]
-        sel = batch.jump_step == k
-        jp = batch.jump_path[sel]
-        jy = batch.jump_size[sel]
+    for k, s, xk, jp, jy in batch.steps():
+        # one table per step prices both the grid states and the post-jump
+        # states
+        pts = np.concatenate([xk, xk[jp] + jy])
         for part in integrands.parts:
-            # one table per step prices both the grid states and the
-            # post-jump states
-            pts = np.concatenate([xk, xk[jp] + jy]) if jy.size else xk
             F_all, dF_all, comp = part.evaluate(s, pts)
             if model.sigma != 0.0:
                 R += part.sign * model.sigma * dF_all[:n_paths] * batch.dW[:, k]
             R -= part.sign * comp[:n_paths] * dt
-            if jy.size:
-                th = F_all[n_paths:] - F_all[:n_paths][jp]
-                np.add.at(R, jp, part.sign * th)
+            np.add.at(R, jp, part.sign * (F_all[n_paths:] - F_all[:n_paths][jp]))
     claim = integrands.claim(batch.x[:, -1])
     err = claim - R
     mse = float(np.mean(err**2))
@@ -292,7 +285,7 @@ def replicate_batch(integrands: RepresentationIntegrands, batch: PathBatch) -> d
         "mse": mse,
         "mean_claim": float(np.mean(claim)),
         "mean_replication": float(np.mean(R)),
-        "se": float(np.std(R, ddof=1) / math.sqrt(n_paths)),
+        "se": float(np.std(R, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
         "replication": R,
         "claim": claim,
     }
@@ -301,21 +294,4 @@ def replicate_batch(integrands: RepresentationIntegrands, batch: PathBatch) -> d
 def replicate_on_path(integrands: RepresentationIntegrands, batch: PathBatch,
                       path_index: int = 0) -> float:
     """Terminal replication value for a single path of the batch."""
-    _check_path_compat(integrands, batch)
-    model = integrands.model
-    dt = batch.dt
-    x = batch.x[path_index]
-    jsteps, _, jsizes = batch.jumps_for_path(path_index)
-    R = integrands.mean
-    for k in range(batch.n_steps):
-        s = batch.times[k]
-        xk = x[k]
-        for part in integrands.parts:
-            F, dF, comp = part.evaluate(s, np.array([xk]))
-            if model.sigma != 0.0:
-                R += part.sign * model.sigma * dF[0] * batch.dW[path_index, k]
-            R -= part.sign * comp[0] * dt
-        sel = jsteps == k
-        for y in jsizes[sel]:
-            R += integrands.theta(s, xk, float(y))
-    return float(R)
+    return float(replicate_batch(integrands, batch.select(path_index))["replication"][0])

@@ -38,8 +38,11 @@ class PathBatch:
 
     ``x`` holds the state at the grid times; ``dW`` and ``dB`` are the
     Brownian and small-jump-Gaussian increments per step (already scaled by
-    sqrt(dt) but not by volatility).  Jumps are stored flat, sorted by
-    (path, time): ``jump_path``, ``jump_step``, ``jump_time``, ``jump_size``.
+    sqrt(dt) but not by volatility).  Jumps are stored flat, sorted by time
+    (so also by step, and in time order within each path): ``jump_path``,
+    ``jump_step``, ``jump_time``, ``jump_size``.  ``steps()`` walks the grid
+    with each step's jumps as slices of that layout; ``select(p)`` is the
+    one-path batch of path p.
     """
 
     model: LevyModel
@@ -70,9 +73,31 @@ class PathBatch:
     def dt(self) -> float:
         return self.T / self.n_steps
 
-    def jumps_for_path(self, p: int):
+    def steps(self):
+        """Yield (k, t_k, x_k, jump_path, jump_size) for every step k: the
+        grid time and states at the start of the step and the jumps inside
+        it, in time order."""
+        if np.any(np.diff(self.jump_step) < 0):
+            raise SchemeError("jumps are not sorted by step")
+        bounds = np.searchsorted(self.jump_step, np.arange(self.n_steps + 1))
+        for k in range(self.n_steps):
+            jumps = slice(bounds[k], bounds[k + 1])
+            yield (k, self.times[k], self.x[:, k],
+                   self.jump_path[jumps], self.jump_size[jumps])
+
+    def select(self, p: int) -> "PathBatch":
+        """The batch of path p alone; its jumps belong to path 0."""
         sel = self.jump_path == p
-        return self.jump_step[sel], self.jump_time[sel], self.jump_size[sel]
+        return replace(
+            self,
+            x=self.x[p : p + 1],
+            dW=self.dW[p : p + 1],
+            dB=self.dB[p : p + 1],
+            jump_path=np.zeros(int(sel.sum()), dtype=int),
+            jump_step=self.jump_step[sel],
+            jump_time=self.jump_time[sel],
+            jump_size=self.jump_size[sel],
+        )
 
     def coarsen(self, factor: int) -> "PathBatch":
         """Subsample to every ``factor``-th grid time, summing the Gaussian
@@ -93,13 +118,13 @@ class PathBatch:
 
 def _compound_poisson(rng, rate, n_paths, T, sampler):
     """Draw jump counts, times and sizes for a homogeneous compound Poisson
-    process observed on [0, T] for each path."""
+    process observed on [0, T] for each path, sorted by time."""
     counts = rng.poisson(rate * T, n_paths)
     total = int(counts.sum())
     jp = np.repeat(np.arange(n_paths), counts)
     jt = rng.uniform(0.0, T, total)
     jsize = sampler(total)
-    order = np.lexsort((jt, jp))
+    order = np.argsort(jt)
     return jp[order], jt[order], jsize[order]
 
 

@@ -130,6 +130,14 @@ def test_bad_model_kind_is_structured_error(tmp_path, capsys):
     assert "ParameterError" in capsys.readouterr().err
 
 
+def test_misspelt_grid_key_is_structured_error(tmp_path, capsys):
+    cfg = dict(MERTON_CFG, grid={"alpah": 1.0})
+    rc = main(["check", "--config", _write(tmp_path, cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ParameterError" in err and "alpah" in err
+
+
 def test_nonpositive_tol_rejected(tmp_path, capsys):
     rc = main(["check", "--config", _write(tmp_path, MERTON_CFG), "--tol", "0"])
     assert rc == 2

@@ -18,6 +18,7 @@ from levyrep import (
     QuadratureGrid,
     conditional_value,
     conditional_value_batch,
+    constant_payoff,
     d2F_dx2,
     dF_dt,
     dF_dx,
@@ -204,3 +205,53 @@ def test_digital_value_in_unit_interval_and_monotone(x, dx):
     hi = conditional_value(model, payoff, grid, 0.3, x + dx, T)
     assert -1e-9 <= lo <= 1.0 + 1e-9
     assert hi >= lo - 1e-9
+
+
+def test_pointwise_operations_keep_array_shape(merton, nig, grid):
+    payoff = digital_payoff(0.0, alpha=1.0)
+    xs = np.array([[-0.5, 0.0, 0.5], [0.1, 0.2, 0.3]])
+    for op in (conditional_value, dF_dx):
+        vals = op(merton, payoff, grid, 0.2, xs, T)
+        assert vals.shape == xs.shape
+        assert np.array_equal(vals.ravel(), op(merton, payoff, grid, 0.2, xs.ravel(), T))
+        assert type(op(merton, payoff, grid, 0.2, 0.1, T)) is float
+    assert density(merton, grid, 0.2, T, xs).shape == xs.shape
+    assert conditional_value(merton, payoff, grid, T, xs, T).shape == xs.shape
+    # the near-maturity fallback evaluates point by point
+    near = digital_payoff(0.05, alpha=1.0)
+    fb = conditional_value(nig, near, grid, T - 1e-5, xs[:, :2] / 100, T)
+    assert fb.shape == (2, 2)
+    assert fb[1, 0] == conditional_value(nig, near, grid, T - 1e-5, xs[1, 0] / 100, T)
+
+
+def test_constant_payoff_needs_no_table(nig, grid):
+    payoff = constant_payoff(0.7)
+    xs = np.zeros((2, 3))
+    assert conditional_value(nig, payoff, grid, 0.2, 0.1, T) == 0.7
+    assert np.array_equal(conditional_value(nig, payoff, grid, 0.2, xs, T), xs + 0.7)
+    for op in (dF_dx, d2F_dx2, dF_dt, jump_compensator, pide_residual):
+        assert op(nig, payoff, grid, 0.2, 0.1, T) == 0.0
+        assert np.array_equal(op(nig, payoff, grid, 0.2, xs, T), xs)
+
+
+@pytest.mark.parametrize("spec", [
+    {"alpah": 2.0},                       # misspelt key
+    {"rule": "gauss-legendre-panels"},    # removed knob
+    {"tol": "abc"},
+    {"n_nodes": "many"},
+    {"alpha": None},
+    {"tol": float("nan")},
+    {"alpha": float("nan")},
+    {"v_max": float("inf")},
+    {"n_nodes": float("inf")},
+])
+def test_grid_from_dict_rejects_bad_config(spec):
+    with pytest.raises(ParameterError):
+        grid_from_dict(spec)
+
+
+def test_grid_from_dict_accepts_every_known_key():
+    g = grid_from_dict({"alpha": 0.5, "v_max": 40, "n_nodes": 96, "tol": "1e-8"})
+    assert (g.alpha, g.v_max, g.n_nodes, g.tol) == (0.5, 40.0, 96, 1e-8)
+    assert grid_from_dict({"v_max": None}).v_max is None
+    assert grid_from_dict({}) == QuadratureGrid()

@@ -1,5 +1,7 @@
 """Representation integrands u/theta and Monte Carlo replication."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,17 @@ def test_replicate_on_path_matches_batch(merton, merton_ints):
     report = replicate_batch(merton_ints, batch)
     v = replicate_on_path(merton_ints, batch, path_index=3)
     assert abs(v - report["replication"][3]) < 1e-10
+
+
+def test_one_path_batch_reports_zero_se(merton, merton_ints):
+    one = simulate(merton, T, 20, 1, seed=16)
+    batch = simulate(merton, T, 20, 4, seed=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = replicate_batch(merton_ints, one)
+        v = replicate_on_path(merton_ints, batch, path_index=0)
+    assert report["n_paths"] == 1 and report["se"] == 0.0
+    assert abs(v - replicate_batch(merton_ints, batch)["replication"][0]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
