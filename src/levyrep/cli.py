@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import LevyRepError, ParameterError
-from .fourier import QuadratureGrid, density_batch, grid_from_dict
+from .fourier import density_batch, grid_from_dict
 from .hedging import fs_path_study, hedge_grid, orthogonality_check
 from .malliavin import malliavin_classify
 from .mmm import MarketSpec, build_mmm, check_assumption3, density_star

@@ -21,14 +21,16 @@ once, when ``MultiTable`` or ``DensityTable`` is constructed from the full
 symmetric node set, so an asymmetric multiplier raises QuadratureError
 whatever the number of points later evaluated.
 
-The public operations -- ``conditional_value``, ``dF_dx``, ``d2F_dx2``,
-``dF_dt``, ``jump_difference``, ``jump_compensator``, the nu-term of
-``pide_residual`` and ``density`` -- each build one table tuned at the
-requested points themselves (``_contour``; ``make_density_table`` for the
-density) and return a float for a scalar point, an array of the input's
-shape otherwise.  ``conditional_value_batch``, ``dF_dx_batch`` and
-``density_batch`` are the same functions under their batch names.
-Multi-integrand tables for the path drivers come from ``make_multi_table``.
+One private evaluator, ``_contour``, builds every contour table: the public
+operations (``conditional_value``, ``dF_dx``, ``d2F_dx2``, ``dF_dt``,
+``jump_difference``, ``jump_compensator``, the nu-term of ``pide_residual``),
+the representation integrands, the hedge and the path drivers all pass it
+their multipliers and points.  It owns the one probe policy -- the table is
+tuned at the distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points -- and
+returns a float for a scalar point, an array of the input's shape otherwise.
+One refinement loop, ``_adapt``, refines contour and density tables alike.
+``conditional_value_batch``, ``dF_dx_batch`` and ``density_batch`` are the
+same functions under their batch names.
 """
 
 from __future__ import annotations
@@ -282,33 +284,45 @@ def make_multi_table(
     def weighted(vs, ws):
         zs = 1j * vs - alpha
         base = payoff.transform_contour(zs) * np.exp(tau * model.psi(1j * zs))
-        return zs, [(base if m is None else base * m(zs)) * ws for m in multipliers]
+        return [(base if m is None else base * m(zs)) * ws for m in multipliers]
 
     base_edges = _panel_edges(v_max, omega, n_min_panels=max(8, grid.n_nodes // 32))
+    vs, ws, err = _adapt(weighted, base_edges, x_probe, alpha, grid, "contour")
+    return MultiTable(1j * vs - alpha, ws, err)
 
+
+def _adapt(weighted, base_edges, probe, alpha, grid, what):
+    """The one refinement loop of contour and density tables.
+
+    Splits every panel of ``base_edges`` into 2^level pieces until the 16-
+    and 24-point Gauss-Legendre sums of every integrand agree at every probe
+    point, to ``grid.tol`` relative to 1 + |2pi value| (the scale of the
+    unnormalised sum).  ``weighted(vs, ws)`` gives each integrand's weights
+    on nodes vs with quadrature weights ws.  Returns the full symmetric
+    24-point nodes, each integrand's weights on them and the probe error.
+    """
     prev = None
     for level in range(7):
         edges = _split_edges(base_edges, 2**level)
         if 2 * (edges.size - 1) * 24 > grid.max_nodes:
-            raise TruncationError("node budget exhausted before convergence")
+            raise TruncationError(f"{what} node budget exhausted before convergence")
         vs16, ws16 = _nodes_weights(edges, 16)
-        p_lo = _half_sum(x_probe, vs16, _stack(weighted(vs16, ws16)[1]), alpha)
+        p_lo = _half_sum(probe, vs16, _stack(weighted(vs16, ws16)), alpha)
         vs24, ws24 = _nodes_weights(edges, 24)
-        zs24, hi = weighted(vs24, ws24)
-        p_hi = _half_sum(x_probe, vs24, _stack(hi), alpha)
+        hi = weighted(vs24, ws24)
+        p_hi = _half_sum(probe, vs24, _stack(hi), alpha)
         errs = np.max(np.abs(p_hi - p_lo), axis=0)
-        # tolerance relative to 1 + |2pi F|, the scale of the unnormalised sum
         scales = 1.0 + 2.0 * math.pi * np.max(np.abs(p_hi), axis=0)
         if np.all(errs <= grid.tol * scales):
-            zs_neg, neg = weighted(-vs24[::-1], ws24[::-1])
-            return MultiTable(
-                np.concatenate([zs_neg, zs24]),
+            neg = weighted(-vs24[::-1], ws24[::-1])
+            return (
+                np.concatenate([-vs24[::-1], vs24]),
                 [np.concatenate(pair) for pair in zip(neg, hi)],
                 float(np.max(errs)),
             )
         prev = float(np.max(errs))
     raise QuadratureError(
-        f"contour quadrature did not converge (last probe error {prev:.3g})"
+        f"{what} quadrature did not converge (last probe error {prev:.3g})"
     )
 
 
@@ -440,18 +454,24 @@ def _full(x, c):
     return float(c) if np.ndim(x) == 0 else np.full(np.shape(x), float(c))
 
 
-def _contour(model, payoff, grid, t, x, T, multiplier=None, extra_omega=0.0):
-    """The contour integral of one multiplier (None for F itself) at x, on a
-    table tuned at x itself: a float for scalar x, else an array of x's
-    shape.  A constant payoff needs no table: F is the constant, and every
-    multiplier (derivatives, jump terms) gives 0."""
+def _contour(model, payoff, grid, t, x, T, multipliers, extra_omega=0.0):
+    """Every contour table is built here.  Returns (values, err_estimate)
+    with one value per multiplier (None for F itself): a float for scalar x,
+    else an array of x's shape.
+
+    The table is tuned at the distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of
+    the points, which for a scalar point is the point itself.  A constant
+    payoff needs no table: F is the constant, every multiplier (derivatives,
+    jump terms) gives 0, and the error is 0."""
     if payoff.kind == "constant":
-        return _full(x, 0.0 if multiplier is not None else payoff.params[0])
+        c = payoff.params[0]
+        return [_full(x, c if m is None else 0.0) for m in multipliers], 0.0
     xs = np.asarray(x, dtype=float)
+    probe = np.unique(np.quantile(xs, [0.0, 0.25, 0.5, 0.75, 1.0]))
     table = make_multi_table(
-        model, payoff, grid, t, T, [multiplier], x_probe=xs, extra_omega=extra_omega
+        model, payoff, grid, t, T, multipliers, x_probe=probe, extra_omega=extra_omega
     )
-    return table.eval_all(xs)[0]
+    return table.eval_all(xs), table.err_estimate
 
 
 def conditional_value(model, payoff, grid, t, x, T):
@@ -461,7 +481,8 @@ def conditional_value(model, payoff, grid, t, x, T):
         f = payoff.f(xs)
         return float(f) if xs.ndim == 0 else f
     try:
-        return _contour(model, payoff, grid, t, xs, T)
+        (F,), _ = _contour(model, payoff, grid, t, xs, T, [None])
+        return F
     except TruncationError:
         if payoff.kind != "digital":
             raise
@@ -471,24 +492,27 @@ def conditional_value(model, payoff, grid, t, x, T):
 
 
 def dF_dx(model, payoff, grid, t, x, T):
-    return _contour(model, payoff, grid, t, x, T, multiplier=_mult_dx)
+    (dF,), _ = _contour(model, payoff, grid, t, x, T, [_mult_dx])
+    return dF
 
 
 def d2F_dx2(model, payoff, grid, t, x, T):
-    return _contour(model, payoff, grid, t, x, T, multiplier=_mult_dxx)
+    (d2F,), _ = _contour(model, payoff, grid, t, x, T, [_mult_dxx])
+    return d2F
 
 
 def dF_dt(model, payoff, grid, t, x, T):
-    return _contour(model, payoff, grid, t, x, T,
-                    multiplier=lambda zs: -model.psi(1j * zs))
+    (dF,), _ = _contour(model, payoff, grid, t, x, T, [lambda zs: -model.psi(1j * zs)])
+    return dF
 
 
 def jump_difference(model, payoff, grid, t, x, y, T):
     """F(t, x + y) - F(t, x) as a single quadrature with factor e^{-z_v y} - 1."""
     if y == 0.0:
         return _full(x, 0.0)
-    return _contour(model, payoff, grid, t, x, T, multiplier=_make_mult_jump(y),
-                    extra_omega=abs(y))
+    (diff,), _ = _contour(model, payoff, grid, t, x, T, [_make_mult_jump(y)],
+                          extra_omega=abs(y))
+    return diff
 
 
 def jump_compensator(model, payoff, grid, t, x, T):
@@ -496,7 +520,8 @@ def jump_compensator(model, payoff, grid, t, x, T):
     0 for a constant payoff whatever the jump variation."""
     if payoff.kind == "constant":
         return _full(x, 0.0)
-    return _contour(model, payoff, grid, t, x, T, multiplier=_make_mult_nu_plain(model))
+    (comp,), _ = _contour(model, payoff, grid, t, x, T, [_make_mult_nu_plain(model)])
+    return comp
 
 
 def pide_residual(model, payoff, grid, t, x, T):
@@ -507,8 +532,9 @@ def pide_residual(model, payoff, grid, t, x, T):
     terms += 0.5 * model.sigma**2 * d2F_dx2(model, payoff, grid, t, x, T)
     if not isinstance(model, BrownianModel):
         # int (e^{-z_v y} - 1 + z_v y) nu(dy) = J(i z_v)
-        terms += _contour(model, payoff, grid, t, x, T,
-                          multiplier=lambda zs: model.jump_exponent(1j * zs))
+        (nu_term,), _ = _contour(model, payoff, grid, t, x, T,
+                                 [lambda zs: model.jump_exponent(1j * zs)])
+        terms += nu_term
     return terms
 
 
@@ -558,26 +584,10 @@ def make_density_table(model, grid, t, T, y_probe=None) -> DensityTable:
     base_edges = _panel_edges(v_max, omega, n_min_panels=max(8, grid.n_nodes // 32))
 
     def weighted(vs, ws):
-        return np.exp(tau * model.psi(vs)) * ws
+        return [np.exp(tau * model.psi(vs)) * ws]
 
-    for level in range(7):
-        edges = _split_edges(base_edges, 2**level)
-        if 2 * (edges.size - 1) * 24 > grid.max_nodes:
-            raise TruncationError("density node budget exhausted")
-        vs16, ws16 = _nodes_weights(edges, 16)
-        p_lo = _half_sum(y_probe, vs16, _stack([weighted(vs16, ws16)]), 0.0)
-        vs24, ws24 = _nodes_weights(edges, 24)
-        w24 = weighted(vs24, ws24)
-        p_hi = _half_sum(y_probe, vs24, _stack([w24]), 0.0)
-        err = float(np.max(np.abs(p_hi - p_lo)))
-        # tolerance relative to 1 + |2pi p|, the scale of the unnormalised sum
-        if err <= grid.tol * (1.0 + 2.0 * math.pi * float(np.max(np.abs(p_hi)))):
-            return DensityTable(
-                np.concatenate([-vs24[::-1], vs24]),
-                np.concatenate([weighted(-vs24[::-1], ws24[::-1]), w24]),
-                err,
-            )
-    raise QuadratureError("density quadrature did not converge")
+    vs, (w,), err = _adapt(weighted, base_edges, y_probe, 0.0, grid, "density")
+    return DensityTable(vs, w, err)
 
 
 def density(model, grid, t, T, y):

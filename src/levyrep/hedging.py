@@ -24,10 +24,16 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .fourier import (
     QuadratureGrid,
+    _contour,
+    _full,
+    _make_mult_nu_plain,
+    _mult_dx,
     make_mult_nu_truncated,
-    make_multi_table,
     truncated_nu_nodes,
 )
+# perfbench/tracing.py wraps make_multi_table in this module by name, so the
+# name stays importable here although every table is built by _contour
+from .fourier import make_multi_table  # noqa: F401
 from .mmm import MarketSpec, MmmTransform
 from .models import BrownianModel
 from .payoffs import digital_payoff
@@ -55,15 +61,15 @@ class HedgeComponents:
     err_estimate: float
 
 
-def _hedge_multipliers(market: MarketSpec, eps: float | None):
-    """Contour multipliers for (kappa, nu-integral, Psi*-compensator) under
-    the star measure; closed-form jump exponents when the full Levy measure
+def _hedge_multipliers(market: MarketSpec, eps: float | None, with_comp: bool):
+    """Contour multipliers for (F*, kappa, nu-integral, Psi*-compensator)
+    under the star measure, up to the last one that exists (the compensator
+    only ``with_comp``); closed-form jump exponents when the full Levy measure
     is used, truncated quadrature when the path scheme drops |y| < eps."""
     model = market.model
-    mult_dx = lambda zs: -zs  # noqa: E731 - matches the engine's convention
-
+    mults = [None, _mult_dx]
     if isinstance(model, BrownianModel):
-        return [mult_dx, None, None]
+        return mults
 
     if eps is None:
         j = model.jump_exponent
@@ -73,19 +79,15 @@ def _hedge_multipliers(market: MarketSpec, eps: float | None):
             w = 1j * zs
             return j(w - 1j) - j(w) - j_mi
 
-        if model.has_finite_variation_jumps:
-            m1 = model.nu_mean()
+        mults.append(mult_exp)
+        if with_comp and model.has_finite_variation_jumps:
+            mults.append(_make_mult_nu_plain(model))
+        return mults
 
-            def mult_plain(zs):
-                return j(1j * zs) - zs * m1
-
-        else:
-            mult_plain = None
-        return [mult_dx, mult_exp, mult_plain]
-
-    mult_exp = make_mult_nu_truncated(model, eps, weight=lambda y: np.exp(y) - 1.0)
-    mult_plain = make_mult_nu_truncated(model, eps)
-    return [mult_dx, mult_exp, mult_plain]
+    mults.append(make_mult_nu_truncated(model, eps, weight=lambda y: np.exp(y) - 1.0))
+    if with_comp:
+        mults.append(make_mult_nu_truncated(model, eps))
+    return mults
 
 
 def _exp_jump_mean(market: MarketSpec, eps: float | None) -> float:
@@ -110,30 +112,16 @@ def hedge_components_batch(
 ):
     """kappa, nu-integral and xi*S^ for a batch of states at one time.
 
-    Returns (F_star, kappa, nu_integral, psi_comp, err) arrays; xi follows as
-    e^{-rT} (kappa sigma^2 + nu_integral) / (s_hat (sigma^2 + C2)).
+    Returns (F_star, kappa, nu_integral, psi_comp, err): arrays of xs's
+    shape, floats for a scalar state, zeros for the terms the model lacks;
+    xi follows as e^{-rT} (kappa sigma^2 + nu_integral) / (s_hat (sigma^2 + C2)).
     """
-    xs = np.asarray(xs, dtype=float)
     if not t < market.T:
         raise DomainError("hedge components need t < T")
     payoff = digital_payoff(market.strike_level(), alpha=grid.alpha)
-    mults = _hedge_multipliers(market, eps)
-    use = [None, mults[0]]
-    idx_exp = idx_plain = None
-    if mults[1] is not None:
-        idx_exp = len(use)
-        use.append(mults[1])
-    if with_psi_compensator and mults[2] is not None:
-        idx_plain = len(use)
-        use.append(mults[2])
-    q = np.quantile(xs, [0.0, 0.25, 0.5, 0.75, 1.0])
-    table = make_multi_table(transform.star, payoff, grid, t, market.T, use, x_probe=q)
-    outs = table.eval_all(xs)
-    F = outs[0]
-    kappa = outs[1]
-    nu_int = outs[idx_exp] if idx_exp is not None else np.zeros_like(F)
-    psi_comp = outs[idx_plain] if idx_plain is not None else np.zeros_like(F)
-    return F, kappa, nu_int, psi_comp, table.err_estimate
+    mults = _hedge_multipliers(market, eps, with_psi_compensator)
+    vals, err = _contour(transform.star, payoff, grid, t, xs, market.T, mults)
+    return (*vals, *[_full(xs, 0.0)] * (4 - len(vals)), err)
 
 
 def _lrm_ratio(market: MarketSpec, transform: MmmTransform, s_hat, kappa, nu_int):
@@ -156,18 +144,14 @@ def lrm_xi(
     """Units of the risky asset held by the locally risk-minimizing strategy."""
     if s_hat_minus <= 0:
         raise ParameterError("discounted price must be positive")
-    _, kappa, nu_int, _, _ = hedge_components_batch(
-        market, transform, grid, t, np.array([x_t])
-    )
-    return float(_lrm_ratio(market, transform, s_hat_minus, kappa[0], nu_int[0]))
+    _, kappa, nu_int, _, _ = hedge_components_batch(market, transform, grid, t, x_t)
+    return float(_lrm_ratio(market, transform, s_hat_minus, kappa, nu_int))
 
 
 def hedge_components(market, transform, grid, t, x_t) -> HedgeComponents:
-    _, kappa, nu_int, _, err = hedge_components_batch(
-        market, transform, grid, t, np.array([x_t])
-    )
-    xi = _lrm_ratio(market, transform, math.exp(x_t), kappa[0], nu_int[0])
-    return HedgeComponents(float(kappa[0]), float(nu_int[0]), float(xi), err)
+    _, kappa, nu_int, _, err = hedge_components_batch(market, transform, grid, t, x_t)
+    xi = _lrm_ratio(market, transform, math.exp(x_t), kappa, nu_int)
+    return HedgeComponents(kappa, nu_int, float(xi), err)
 
 
 def hedge_grid(

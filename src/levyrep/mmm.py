@@ -53,9 +53,6 @@ class MarketSpec:
         if self.K <= 0:
             raise ParameterError("strike must be positive")
 
-    def s0(self) -> float:
-        return math.exp(self.model.x0)
-
     def strike_level(self) -> float:
         """log K - rT: the digital option on S_T is a digital on X_T at this
         level."""

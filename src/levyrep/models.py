@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
 
 from .bessel import k1e
-from .errors import DomainError, InconclusiveError, ParameterError, QuadratureError
+from .errors import DomainError, InconclusiveError, ParameterError
 
 # Custom nu-integrals split the domain here and use a Taylor expansion below.
 SMALL_JUMP_SPLIT = 1e-4
@@ -413,16 +412,16 @@ class CustomModel(LevyModel):
                 wts_list.append(half * gl_w * self.levy_density(xs))
         nodes = np.concatenate(nodes_list)
         wts = np.concatenate(wts_list)
-        # Taylor moments of nu below the split (k = 2, 3, 4).
-        mom = np.zeros(3)
+        # moments of nu below the split: mom[k] = int_{|x| < split} x^k nu(dx)
+        mom = np.zeros(5)
         for dens, sgn in ((self._pos, 1.0), (self._neg, -1.0)):
             if dens is None:
                 continue
-            for j, k in enumerate((2, 3, 4)):
+            for k in range(1, 5):
                 val, _ = integrate.quad(
                     lambda u, k=k: u**k * float(dens(sgn * u)), 0.0, SMALL_JUMP_SPLIT
                 )
-                mom[j] += sgn**k * val
+                mom[k] += sgn**k * val
         return nodes, wts, mom
 
     def jump_exponent(self, w):
@@ -437,7 +436,7 @@ class CustomModel(LevyModel):
         iwx = 1j * np.multiply.outer(wv, nodes)
         big = (np.exp(iwx) - 1.0 - iwx) @ wts
         iw = 1j * wv
-        small = iw**2 / 2.0 * mom[0] + iw**3 / 6.0 * mom[1] + iw**4 / 24.0 * mom[2]
+        small = iw**2 / 2.0 * mom[2] + iw**3 / 6.0 * mom[3] + iw**4 / 24.0 * mom[4]
         out = big + small
         return out[0] if scalar else out.reshape(w.shape)
 
@@ -447,12 +446,12 @@ class CustomModel(LevyModel):
         return (lo, hi)
 
     def nu_mean(self):
-        nodes, wts, _ = self._grid
-        return float(nodes @ wts)
+        nodes, wts, mom = self._grid
+        return float(nodes @ wts + mom[1])
 
     def nu_second_moment(self):
         nodes, wts, mom = self._grid
-        return float((nodes * nodes) @ wts + mom[0])
+        return float((nodes * nodes) @ wts + mom[2])
 
     @property
     def is_finite_activity(self):
@@ -712,16 +711,38 @@ _MODEL_KINDS = {
 }
 
 
+def _number(key: str, value) -> float:
+    """A model config value as a finite float, else ParameterError."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"model {key} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ParameterError(f"model {key} must be finite, got {value!r}")
+    return out
+
+
 def model_from_dict(spec: dict) -> LevyModel:
-    """Build a model from {"kind": ..., "params": {...}, "mu", "sigma", "x0"}."""
+    """Build a model from {"kind": ..., "params": {...}, "mu", "sigma", "x0"}.
+    Unknown key or parameter names and non-numeric or non-finite values
+    raise ParameterError."""
     kind = spec.get("kind")
     if kind not in _MODEL_KINDS:
         raise ParameterError(f"unknown model kind {kind!r}")
     cls = _MODEL_KINDS[kind]
-    common = {k: float(spec.get(k, 0.0)) for k in ("x0", "mu", "sigma")}
+    keys = ["kind", "mu", "params", "sigma", "x0"]
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ParameterError(f"unknown model keys {unknown}; known: {keys}")
+    common = {k: _number(k, spec.get(k, 0.0)) for k in ("x0", "mu", "sigma")}
+    known = sorted(f.name for f in fields(cls) if f.name not in common)
     params = dict(spec.get("params", {}))
-    if kind == "custom":
-        for key in ("pos_knots", "pos_logv", "neg_knots", "neg_logv"):
-            if key in params:
-                params[key] = tuple(float(v) for v in params[key])
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ParameterError(f"unknown {kind} parameters {unknown}; known: {known}")
+    for key, value in params.items():
+        if kind == "custom":  # every custom parameter is a knot table
+            params[key] = tuple(_number(key, v) for v in np.atleast_1d(value))
+        else:
+            params[key] = _number(key, value)
     return cls(**common, **params)

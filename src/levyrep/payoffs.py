@@ -6,7 +6,7 @@ decompositions, and checks that f e^{-alpha x} is L^1 with finite variation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,14 +70,6 @@ def digital_payoff(c: float, alpha: float = 1.0) -> DampedPayoff:
         kind="digital", f=f, transform0=transform0,
         alpha_interval=(0.0, math.inf), alpha=alpha, osc_center=c, params=(c,),
     )
-
-
-def digital_transform(c: float, x: float, z: complex) -> complex:
-    """-(1/(iz)) e^{iz(c-x)}, the damped transform of 1_{x >= c}."""
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise DomainError("digital transform needs Im(z) > 0")
-    return -np.exp(1j * z * (c - x)) / (1j * z)
 
 
 def exp_indicator_payoff(alpha: float = 2.5) -> DampedPayoff:
@@ -268,9 +260,6 @@ def raw_sqrt_abs_payoff() -> DampedPayoff:
         f=lambda x: np.sqrt(np.abs(np.asarray(x, dtype=float))),
         transform0=None, alpha_interval=(0.0, 0.0), alpha=1.0,
     )
-
-
-_PAYOFF_KINDS = {"digital", "exp_indicator", "sqrt_abs", "polynomial", "constant"}
 
 
 def payoff_from_dict(spec: dict):

@@ -14,19 +14,22 @@ closed-form conditional expectation built from the increment cumulants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError, SchemeError
 from .fourier import (
     QuadratureGrid,
+    _contour,
+    _full,
     _make_mult_nu_plain,
     _mult_dx,
-    conditional_value,
     make_mult_nu_truncated,
-    make_multi_table,
 )
+# perfbench/tracing.py wraps make_multi_table in this module by name, so the
+# name stays importable here although every table is built by _contour
+from .fourier import make_multi_table  # noqa: F401
 from .models import BrownianModel, LevyModel
 from .payoffs import DampedPayoff, PayoffDecomposition
 from .simulate import PathBatch, _jump_cumulants
@@ -74,39 +77,27 @@ class _Part:
         self.nu_eps = nu_eps
         self.kind = payoff.kind
         self._has_jumps = not isinstance(model, BrownianModel)
-        if self.kind not in ("constant", "polynomial"):
-            self._mults = [None, _mult_dx]
-            if self._has_jumps:
-                if nu_eps is not None:
-                    self._mults.append(make_mult_nu_truncated(model, nu_eps))
-                else:
-                    self._mults.append(_make_mult_nu_plain(model))
+        self._mults = [None, _mult_dx]
+        if self._has_jumps and self.kind not in ("constant", "polynomial"):
+            if nu_eps is not None:
+                self._mults.append(make_mult_nu_truncated(model, nu_eps))
+            else:
+                self._mults.append(_make_mult_nu_plain(model))
 
-    def evaluate(self, s, xs):
-        """Returns (F, dF_dx, nu_comp) arrays at the points xs."""
-        xs = np.asarray(xs, dtype=float)
-        tau = self.T - s
-        if self.kind == "constant":
-            c = self.payoff.params[0]
-            return np.full_like(xs, c), np.zeros_like(xs), np.zeros_like(xs)
+    def evaluate(self, s, xs, n=3):
+        """The first n of (F, dF_dx, nu_comp) at the points xs, zeros where
+        the part has no such term."""
         if self.kind == "polynomial":
-            coeffs = _poly_value_coeffs(self.model, self.payoff.params, tau)
-            F = np.polynomial.polynomial.polyval(xs, coeffs)
-            dF = np.polynomial.polynomial.polyval(
-                xs, np.polynomial.polynomial.polyder(coeffs)
-            )
-            comp = self._poly_nu_comp(xs, coeffs)
-            return F, dF, comp
-        q = np.quantile(xs, [0.0, 0.25, 0.5, 0.75, 1.0])
-        table = make_multi_table(
-            self.model, self.payoff, self.grid, s, self.T, self._mults, x_probe=q
-        )
-        outs = table.eval_all(xs)
-        if self._has_jumps:
-            F, dF, comp = outs
+            xs = np.asarray(xs, dtype=float)
+            coeffs = _poly_value_coeffs(self.model, self.payoff.params, self.T - s)
+            pv = np.polynomial.polynomial.polyval
+            F = pv(xs, coeffs)
+            dF = pv(xs, np.polynomial.polynomial.polyder(coeffs))
+            vals = [F, dF, self._poly_nu_comp(xs, coeffs)][:n]
         else:
-            (F, dF), comp = outs, np.zeros_like(xs)
-        return F, dF, comp
+            vals, _ = _contour(self.model, self.payoff, self.grid, s, xs, self.T,
+                               self._mults[:n])
+        return (*vals, *[_full(xs, 0.0)] * (n - len(vals)))
 
     def _poly_nu_comp(self, xs, coeffs):
         """int (p_tau(x+y) - p_tau(x)) nu(dy) for the polynomial value
@@ -128,24 +119,6 @@ class _Part:
             )
         return out
 
-    def theta_terms(self, s, x_pre, y, xs_context):
-        """theta(s, x_pre, y) = F(s, x_pre + y) - F(s, x_pre), evaluated for
-        matched arrays of pre-jump states and jump sizes."""
-        if self.kind == "constant":
-            return np.zeros_like(np.asarray(y, dtype=float))
-        if self.kind == "polynomial":
-            coeffs = _poly_value_coeffs(self.model, self.payoff.params, self.T - s)
-            pv = np.polynomial.polynomial.polyval
-            return pv(x_pre + y, coeffs) - pv(x_pre, coeffs)
-        pts = np.concatenate([x_pre, x_pre + y, xs_context])
-        q = np.quantile(pts, [0.0, 0.25, 0.5, 0.75, 1.0])
-        table = make_multi_table(
-            self.model, self.payoff, self.grid, s, self.T, [None], x_probe=q
-        )
-        vals = table.eval_all(np.concatenate([x_pre, x_pre + y]))[0]
-        n = x_pre.size
-        return vals[n:] - vals[:n]
-
 
 @dataclass(frozen=True)
 class RepresentationIntegrands:
@@ -161,31 +134,24 @@ class RepresentationIntegrands:
         """Diffusion integrand sigma * dF/dx(s, x)."""
         if self.model.sigma == 0.0:
             return 0.0
-        total = 0.0
-        for part in self.parts:
-            _, dF, _ = part.evaluate(s, np.array([x]))
-            total += part.sign * dF[0]
-        return self.model.sigma * total
+        dF = sum(part.sign * part.evaluate(s, x, n=2)[1] for part in self.parts)
+        return float(self.model.sigma * dF)
 
     def theta(self, s: float, x: float, y: float) -> float:
-        """Jump integrand F(s, x + y) - F(s, x)."""
+        """Jump integrand F(s, x + y) - F(s, x), from one table per part at
+        [x, x + y]."""
         if y == 0.0:
             return 0.0
         total = 0.0
         for part in self.parts:
-            vals = part.theta_terms(
-                s, np.array([x]), np.array([y]), np.array([x])
-            )
-            total += part.sign * vals[0]
+            (F,) = part.evaluate(s, np.array([x, x + y]), n=1)
+            total += part.sign * (F[1] - F[0])
         return float(total)
 
     def value(self, s: float, x: float) -> float:
         """F(s, x) summed over payoff parts."""
-        total = 0.0
-        for part in self.parts:
-            F, _, _ = part.evaluate(s, np.array([x]))
-            total += part.sign * F[0]
-        return float(total)
+        F = sum(part.sign * part.evaluate(s, x, n=1)[0] for part in self.parts)
+        return float(F)
 
     def claim(self, x_T):
         x_T = np.asarray(x_T, dtype=float)
@@ -215,16 +181,8 @@ def build_integrands(
     else:
         raise ParameterError("payoff must be a DampedPayoff or PayoffDecomposition")
     parts = tuple(_Part(s, p, model, grid, T, nu_eps) for s, p in raw_parts)
-    mean = 0.0
-    for part in parts:
-        if part.kind in ("constant", "polynomial"):
-            F, _, _ = part.evaluate(0.0, np.array([model.x0]))
-            mean += part.sign * F[0]
-        else:
-            mean += part.sign * conditional_value(
-                model, part.payoff, grid, 0.0, model.x0, T
-            )
-    return RepresentationIntegrands(model, grid, T, parts, float(mean))
+    integrands = RepresentationIntegrands(model, grid, T, parts, 0.0)
+    return replace(integrands, mean=integrands.value(0.0, model.x0))
 
 
 def _check_path_compat(integrands: RepresentationIntegrands, batch: PathBatch):

@@ -138,6 +138,21 @@ def test_misspelt_grid_key_is_structured_error(tmp_path, capsys):
     assert "ParameterError" in err and "alpah" in err
 
 
+@pytest.mark.parametrize("model", [
+    {"params": {"gama": 1.0, "m": -0.1, "delta": 0.3}},
+    {"sigma": "abc"},
+    {"sigma": float("nan")},
+    {"mu": float("inf")},
+    {"params": {"gamma": float("nan"), "m": -0.1, "delta": 0.3}},
+    {"sigam": 0.2},
+], ids=["misspelt", "string", "nan-sigma", "inf-mu", "nan-gamma", "misspelt-key"])
+def test_bad_model_config_is_structured_error(tmp_path, capsys, model):
+    cfg = dict(MERTON_CFG, model=MERTON_CFG["model"] | model)
+    rc = main(["check", "--config", _write(tmp_path, cfg)])
+    assert rc == 2
+    assert "ParameterError" in capsys.readouterr().err
+
+
 def test_nonpositive_tol_rejected(tmp_path, capsys):
     rc = main(["check", "--config", _write(tmp_path, MERTON_CFG), "--tol", "0"])
     assert rc == 2

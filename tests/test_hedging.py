@@ -18,7 +18,7 @@ from levyrep import (
     orthogonality_check,
     simulate,
 )
-from levyrep.hedging import fs_path_study
+from levyrep.hedging import fs_path_study, hedge_components_batch
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,16 @@ def test_complete_market_delta_closed_form(brownian_market, brownian_transform, 
             expected = norm.pdf(d2) / (s * sigma * math.sqrt(tau))
             got = lrm_xi(brownian_market, brownian_transform, grid, t, x_t, s)
             assert abs(got - expected) < 1e-8
+
+
+def test_brownian_hedge_has_no_jump_terms(brownian_market, brownian_transform, grid):
+    xs = np.array([-0.2, 0.0, 0.3])
+    F, kappa, nu_int, psi_comp, _ = hedge_components_batch(
+        brownian_market, brownian_transform, grid, 0.3, xs, with_psi_compensator=True
+    )
+    assert np.all(nu_int == 0.0) and np.all(psi_comp == 0.0)
+    assert nu_int.shape == psi_comp.shape == kappa.shape == xs.shape
+    assert np.all(kappa > 0.0) and np.all((F > 0.0) & (F < 1.0))
 
 
 def test_nu_integral_vs_brute_quadrature(merton_market, merton_transform, grid):

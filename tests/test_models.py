@@ -20,6 +20,7 @@ from levyrep import (
     model_from_dict,
 )
 from levyrep.models import (
+    CustomModel,
     characteristic_function,
     jump_exponent_quadrature,
     truncated_abs_moment,
@@ -89,6 +90,40 @@ def test_vg_nu_mean_vs_quadrature(vg):
     pos, _ = integrate.quad(lambda x: x * float(vg.levy_density(x)), 1e-12, np.inf)
     neg, _ = integrate.quad(lambda x: x * float(vg.levy_density(x)), -np.inf, -1e-12)
     assert abs(pos + neg - vg.nu_mean()) < 1e-7
+
+
+# A Kou double-exponential measure (Kou, Management Sci. 2002) is exactly a
+# piecewise-exponential table with one knot pair per side.
+KOU_LAM, KOU_P, KOU_ETA1, KOU_ETA2 = 2.0, 0.4, 10.0, 5.0
+
+
+def _kou_custom():
+    lam, p, e1, e2 = KOU_LAM, KOU_P, KOU_ETA1, KOU_ETA2
+    pos, neg = (0.05, 1.0), (-1.0, -0.05)
+    return CustomModel(
+        x0=0.0, mu=0.0, sigma=0.1,
+        pos_knots=pos, pos_logv=tuple(math.log(lam * p * e1) - e1 * x for x in pos),
+        neg_knots=neg, neg_logv=tuple(math.log(lam * (1 - p) * e2) + e2 * x for x in neg),
+    )
+
+
+def _kou_jump_exponent(w):
+    lam, p, e1, e2 = KOU_LAM, KOU_P, KOU_ETA1, KOU_ETA2
+    return (lam * p * (e1 / (e1 - 1j * w) - 1.0 - 1j * w / e1)
+            + lam * (1 - p) * (e2 / (e2 + 1j * w) - 1.0 + 1j * w / e2))
+
+
+def test_custom_model_matches_kou_closed_forms():
+    lam, p, e1, e2 = KOU_LAM, KOU_P, KOU_ETA1, KOU_ETA2
+    kou = _kou_custom()
+    for w in (0.7, -3.0, 25.0, 1.5 - 4.0j, -2.0 + 3.0j):
+        closed = _kou_jump_exponent(w)
+        assert abs(complex(kou.jump_exponent(w)) - closed) < 1e-13 * max(1.0, abs(closed))
+    # the first moment includes the jumps below the Taylor split |x| < 1e-4
+    assert abs(kou.nu_mean() - (lam * p / e1 - lam * (1 - p) / e2)) < 1e-13
+    assert abs(kou.nu_second_moment() - 2 * (lam * p / e1**2 + lam * (1 - p) / e2**2)) < 1e-13
+    lo, hi = kou.exp_moment_strip()
+    assert lo == pytest.approx(-e2, rel=1e-12) and hi == pytest.approx(e1, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["merton", "vg", "nig"])
@@ -164,6 +199,27 @@ def test_model_from_dict_round_trip(merton):
             "params": {"gamma": 1.0, "m": -0.1, "delta": 0.3}}
     model = model_from_dict(spec)
     assert model == merton
+
+
+MERTON_SPEC = {"kind": "merton", "x0": 0.0, "mu": -0.1, "sigma": 0.2,
+               "params": {"gamma": 1.0, "m": -0.1, "delta": 0.3}}
+BAD_MODEL_SPECS = [
+    ({"params": {"gama": 1.0, "m": -0.1, "delta": 0.3}},
+     r"\['gama'\]; known: \['delta', 'gamma', 'm'\]"),
+    ({"sigma": "abc"}, "sigma must be a number"),
+    ({"sigma": math.nan}, "sigma must be finite"),
+    ({"mu": math.inf}, "mu must be finite"),
+    ({"params": {"gamma": math.nan, "m": -0.1, "delta": 0.3}}, "gamma must be finite"),
+    ({"sigam": 0.2}, r"\['sigam'\]; known: \['kind', 'mu', 'params', 'sigma', 'x0'\]"),
+]
+
+
+@pytest.mark.parametrize("change, message", BAD_MODEL_SPECS,
+                         ids=["misspelt", "string", "nan-sigma", "inf-mu", "nan-gamma",
+                              "misspelt-key"])
+def test_model_from_dict_rejects_bad_values(change, message):
+    with pytest.raises(ParameterError, match=message):
+        model_from_dict(MERTON_SPEC | change)
 
 
 def test_model_from_dict_unknown_kind():

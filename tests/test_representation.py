@@ -14,6 +14,7 @@ from levyrep import (
     SchemeError,
     build_integrands,
     conditional_value,
+    conditional_value_batch,
     dF_dx,
     digital_payoff,
     polynomial_payoff,
@@ -45,6 +46,20 @@ def test_theta_is_value_difference(merton, grid, merton_ints):
         merton, payoff, grid, s, x, T
     )
     assert abs(merton_ints.theta(s, x, y) - expected) < 1e-10
+
+
+@pytest.mark.parametrize("name, nu_eps", [("merton", None), ("nig", 1e-3)])
+def test_pointwise_integrands_share_the_engine(request, grid, name, nu_eps):
+    # u, theta and value are priced by the same tables as the public engine
+    model = request.getfixturevalue(name)
+    payoff = digital_payoff(0.0, alpha=1.0)
+    ints = build_integrands(model, payoff, grid, T, nu_eps=nu_eps)
+    for s, x, y in ((0.2, -0.3, 0.25), (0.7, 0.1, -0.4)):
+        assert ints.value(s, x) == conditional_value(model, payoff, grid, s, x, T)
+        F = conditional_value_batch(model, payoff, grid, s, np.array([x, x + y]), T)
+        assert ints.theta(s, x, y) == F[1] - F[0]
+        dF = dF_dx(model, payoff, grid, s, x, T)
+        assert abs(ints.u(s, x) - model.sigma * dF) <= 1e-14
 
 
 def test_mean_equals_time_zero_value(merton_ints, merton):
