@@ -22,7 +22,7 @@ from .fourier import density_batch, grid_from_dict
 from .hedging import fs_path_study, hedge_grid, orthogonality_check
 from .malliavin import malliavin_classify
 from .mmm import MarketSpec, build_mmm, check_assumption3, density_star
-from .models import check_assumption1, model_from_dict
+from .models import _check_keys, _number, check_assumption1, model_from_dict
 from .payoffs import (
     PayoffDecomposition,
     check_assumption2,
@@ -82,14 +82,37 @@ def _build_common(config: dict):
     return model, grid
 
 
+def _horizon(config: dict) -> float:
+    """The one horizon T of every subcommand: ``market.T`` or the top-level
+    ``T`` (1 if neither is given).  Both given and different, non-numeric,
+    non-finite or non-positive raise ParameterError."""
+    given = {name: _number(name, value, "config") for name, value in
+             (("market.T", config.get("market", {}).get("T")), ("T", config.get("T")))
+             if value is not None}
+    if len(set(given.values())) > 1:
+        raise ParameterError(f"market.T and T disagree: {given}")
+    T = next(iter(given.values()), 1.0)
+    if T <= 0:
+        raise ParameterError(f"horizon T must be positive, got {T!r}")
+    return T
+
+
 def _market_from(config: dict, model) -> MarketSpec:
     mkt = config.get("market", {})
+    _check_keys("market", mkt, ["K", "T", "r"])
     return MarketSpec(
-        r=float(mkt.get("r", 0.0)),
-        T=float(mkt.get("T", config.get("T", 1.0))),
-        K=float(mkt.get("K", 1.0)),
+        r=_number("r", mkt.get("r", 0.0), "market"),
+        T=_horizon(config),
+        K=_number("K", mkt.get("K", 1.0), "market"),
         model=model,
     )
+
+
+def _sim_from(config: dict):
+    """(scheme, eps_jump) from the config's ``sim`` block."""
+    sim = config.get("sim", {})
+    _check_keys("sim", sim, ["eps_jump", "scheme"])
+    return sim.get("scheme", "exact"), _number("eps_jump", sim.get("eps_jump", 1e-3), "sim")
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +121,7 @@ def _market_from(config: dict, model) -> MarketSpec:
 
 def _cmd_check(args, config: dict) -> int:
     model, grid = _build_common(config)
-    T = float(config.get("market", {}).get("T", config.get("T", 1.0)))
+    T = _horizon(config)
     verdicts = {}
     a1 = check_assumption1(model, grid.alpha, 0.0, T)
     verdicts["assumption1"] = {"ok": bool(a1), "detail": a1.detail}
@@ -135,7 +158,7 @@ def _cmd_check(args, config: dict) -> int:
 
 def _cmd_represent(args, config: dict) -> int:
     model, grid = _build_common(config)
-    T = float(config.get("T", 1.0))
+    T = _horizon(config)
     payoff = payoff_from_dict(config["payoff"])
     ints = build_integrands(model, payoff, grid, T)
     rep = config.get("represent", {})
@@ -161,7 +184,7 @@ def _cmd_represent(args, config: dict) -> int:
 def _cmd_density(args, config: dict) -> int:
     model, grid = _build_common(config)
     dn = config.get("density", {})
-    T = float(config.get("T", 1.0))
+    T = _horizon(config)
     t = float(dn.get("t", 0.0))
     n_y = int(dn.get("n_y", 201))
     y_lo = float(dn.get("y_lo", -3.0))
@@ -196,11 +219,9 @@ def _cmd_hedge(args, config: dict) -> int:
 
 def _cmd_verify_replication(args, config: dict) -> int:
     model, grid = _build_common(config)
-    T = float(config.get("T", 1.0))
+    T = _horizon(config)
     payoff = payoff_from_dict(config["payoff"])
-    sim_cfg = config.get("sim", {})
-    scheme = sim_cfg.get("scheme", "exact")
-    eps = float(sim_cfg.get("eps_jump", 1e-3))
+    scheme, eps = _sim_from(config)
     batch = simulate(model, T, args.steps, args.paths, seed=args.seed,
                      scheme=scheme, eps_jump=eps)
     nu_eps = eps if scheme == "marks" else None
@@ -220,9 +241,7 @@ def _cmd_verify_fs(args, config: dict) -> int:
     model, grid = _build_common(config)
     market = _market_from(config, model)
     transform = build_mmm(market)
-    sim_cfg = config.get("sim", {})
-    scheme = sim_cfg.get("scheme", "exact")
-    eps = float(sim_cfg.get("eps_jump", 1e-3))
+    scheme, eps = _sim_from(config)
     batch = simulate(model, market.T, args.steps, args.paths, seed=args.seed,
                      scheme=scheme, eps_jump=eps)
     study = fs_path_study(market, transform, grid, batch)

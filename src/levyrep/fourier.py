@@ -16,7 +16,12 @@ probes alike -- runs over the v > 0 half only, in real arithmetic:
 
     (1/pi) e^{alpha x} sum_{v>0} [Re w cos(vx) + Im w sin(vx)]
 
-(``_half_sum``; alpha = 0 for the density).  The symmetry itself is checked
+(``_half_sum``; alpha = 0 for the density).  The sum is entire and
+band-limited in x, so a large point set is interpolated piecewise from the
+direct sum at Chebyshev points, with an a-priori error bound at rounding
+level and a strided check against the direct sum (``_half_sum_cheb``);
+small point sets, and every call the route does not fit, take the direct
+sum (``_half_sum_direct``).  The symmetry itself is checked
 once, when ``MultiTable`` or ``DensityTable`` is constructed from the full
 symmetric node set, so an asymmetric multiplier raises QuadratureError
 whatever the number of points later evaluated.
@@ -48,6 +53,19 @@ from .payoffs import DampedPayoff
 
 IMAG_RESIDUAL_TOL = 1e-8
 EVAL_BLOCK = 4_000_000  # trig-matrix entries per block of evaluation points
+
+# piecewise Chebyshev route of _half_sum: degree M per piece, the a-priori
+# interpolation bound and the strided check against the direct sum, both
+# relative to each weight column's l1 norm
+CHEB_DEGREE = 32
+CHEB_BOUND = 1e-15
+CHEB_CHECK_TOL = 1e-12
+CHEB_CHECK_POINTS = 32
+# Chebyshev points of the second kind from +1 down to -1 (the sine form is
+# exactly symmetric) and their barycentric weights
+_CHEB_T = np.sin(0.5 * math.pi * np.arange(CHEB_DEGREE, -CHEB_DEGREE - 1, -2) / CHEB_DEGREE)
+_CHEB_BW = (-1.0) ** np.arange(CHEB_DEGREE + 1)
+_CHEB_BW[[0, -1]] *= 0.5
 
 
 @dataclass(frozen=True)
@@ -185,8 +203,21 @@ def _half_sum(xs, vs: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
     """(1/pi) e^{alpha x} sum_{v>0} [Re w cos(vx) + Im w sin(vx)] at every
     point of xs (flattened) for every column of W = _stack(...): the real
     part of the full symmetric sum (1/2pi) sum_v w e^{-(iv - alpha) x}.
-    One [cos | sin] @ W product per block of points gives all columns."""
+
+    Large finite point sets are interpolated piecewise from the sum at
+    Chebyshev points (``_half_sum_cheb``); the rest, and any call whose
+    interpolant fails its check, take the direct sum."""
     x = np.ravel(xs)
+    if x.size > 8 * (CHEB_DEGREE + 1) and np.all(np.isfinite(x)):
+        out = _half_sum_cheb(x, vs, W, alpha)
+        if out is not None:
+            return out
+    return _half_sum_direct(x, vs, W, alpha)
+
+
+def _half_sum_direct(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
+    """The half sum at every point of the flat array x: one [cos | sin] @ W
+    product per block of points gives all columns."""
     h = vs.size
     out = np.empty((x.size, W.shape[1]))
     step = max(1, EVAL_BLOCK // (2 * h))
@@ -200,6 +231,100 @@ def _half_sum(xs, vs: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
         ob = np.matmul(tb, W, out=out[i : i + step])
         if alpha:
             ob *= np.exp(alpha * xb)[:, None]
+    return out
+
+
+def _cheb_pieces(vs: np.ndarray, A: np.ndarray, length: float, n: int):
+    """Smallest piece count P on the ladder 1, 2, 4, then x1.25 (rounded
+    down) at which the interpolation bound holds for every column, or None
+    when no P with 4 P (M + 1) <= n does.
+
+    On a piece of half-width r = length / (2P) the Chebyshev coefficients of
+    cos(v x) and sin(v x) are Bessel values J_j(v r) (Jacobi-Anger), so
+    degree-M interpolation of node v's term errs by at most
+    4 (|Re w| + |Im w|) sum_{j>M} |J_j(z)| at z = v r (twice the coefficient
+    tail, for aliasing).  With |J_j(z)| <= (z/2)^j / j! the tail is at most
+    (z/2)^{M+1} / (M+1)! / (1 - (z/2)/(M+2)).  ``A`` holds |Re w| + |Im w|
+    per node and column; the summed bound must stay within CHEB_BOUND of the
+    column's l1 norm, which also bounds the sum itself."""
+    M = CHEB_DEGREE
+    l1 = A.sum(axis=0)
+    P = 1
+    while 4 * P * (M + 1) <= n:
+        q = vs * (length / (4 * P))  # z / 2
+        with np.errstate(over="ignore"):
+            tail = np.exp((M + 1) * np.log(q) - math.lgamma(M + 2))
+        tail = np.where(q < M + 2, tail / (1.0 - q / (M + 2)), np.inf)
+        if np.all(4.0 * (tail @ A) <= CHEB_BOUND * l1):
+            return P
+        P = 2 * P if P < 4 else int(1.25 * P)
+    return None
+
+
+def _cheb_grid(a: float, b: float, P: int):
+    """Edges of P equal pieces of [a, b] and the (P, M + 1) Chebyshev points
+    of each piece, descending; a piece's first and last points are its
+    edges exactly."""
+    edges = a + (b - a) * (np.arange(P + 1) / P)
+    edges[-1] = b
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
+    nodes[:, 0], nodes[:, -1] = edges[1:], edges[:-1]
+    return edges, nodes
+
+
+def _half_sum_cheb(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float):
+    """The half sum at the finite points x by piecewise Chebyshev
+    interpolation, or None where the route does not apply or fails its check.
+
+    [a, b] = [min x, max x] is split into P equal pieces (``_cheb_pieces``).
+    The sum without e^{alpha x} is taken directly at the M + 1 Chebyshev
+    points of each piece and interpolated to the points in that piece by
+    the barycentric formula, one product per block of EVAL_BLOCK entries; a
+    point on a node (a and b always are) takes the node's value.  Times
+    e^{alpha x}, the result must match the direct sum at CHEB_CHECK_POINTS
+    strided points, the first and last included, to CHEB_CHECK_TOL of the
+    column's l1 norm times e^{alpha x}."""
+    a, b = float(x.min()), float(x.max())
+    h = vs.size
+    A = np.abs(W[:h]) + np.abs(W[h:])
+    P = _cheb_pieces(vs, A, b - a, x.size) if b > a else None
+    if P is None:
+        return None
+    edges, nodes = _cheb_grid(a, b, P)
+    if np.any(np.diff(nodes, axis=1) >= 0.0):
+        return None  # pieces too short to hold distinct nodes
+    F = _half_sum_direct(nodes.ravel(), vs, W, 0.0).reshape(P, CHEB_DEGREE + 1, -1)
+    # a column of ones gives the barycentric denominator in the same product
+    F1 = np.concatenate([F, np.ones(F.shape[:2] + (1,))], axis=2)
+    # sorted, the points of piece p are xs[starts[p]:starts[p + 1]]
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.append(np.searchsorted(xs, edges[:-1]), x.size)
+    out = np.empty((x.size, W.shape[1]))
+    step = max(1, EVAL_BLOCK // (CHEB_DEGREE + 1))
+    buf = np.empty((min(step, int(np.max(np.diff(starts)))), CHEB_DEGREE + 1))
+    for p in range(P):
+        for i in range(starts[p], starts[p + 1], step):
+            j = min(i + step, starts[p + 1])
+            c = buf[: j - i]
+            np.subtract.outer(xs[i:j], nodes[p], out=c)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(_CHEB_BW, c, out=c)
+                ob = c @ F1[p]
+                ob = ob[:, :-1] / ob[:, -1:]
+            # a point on a node divides by zero there and takes its value
+            hit = np.flatnonzero(~np.isfinite(ob[:, 0]))
+            if hit.size:
+                ob[hit] = F[p, np.argmin(np.abs(xs[i + hit, None] - nodes[p]), axis=1)]
+            out[order[i:j]] = ob
+    if alpha:
+        out *= np.exp(alpha * x)[:, None]
+    check = np.unique(np.linspace(0, x.size - 1, CHEB_CHECK_POINTS).round().astype(int))
+    ref = _half_sum_direct(x[check], vs, W, alpha)
+    tol = CHEB_CHECK_TOL * A.sum(axis=0) * np.exp(alpha * x[check])[:, None]
+    if not (np.all(np.isfinite(out)) and np.all(np.abs(out[check] - ref) <= tol)):
+        return None
     return out
 
 

@@ -46,12 +46,12 @@ class MarketSpec:
     model: LevyModel
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ParameterError("interest rate must be nonnegative")
-        if self.T <= 0:
-            raise ParameterError("horizon must be positive")
-        if self.K <= 0:
-            raise ParameterError("strike must be positive")
+        if not 0 <= self.r < math.inf:
+            raise ParameterError(f"interest rate must be nonnegative and finite, got {self.r!r}")
+        if not 0 < self.T < math.inf:
+            raise ParameterError(f"horizon must be positive and finite, got {self.T!r}")
+        if not 0 < self.K < math.inf:
+            raise ParameterError(f"strike must be positive and finite, got {self.K!r}")
 
     def strike_level(self) -> float:
         """log K - rT: the digital option on S_T is a digital on X_T at this

@@ -711,15 +711,23 @@ _MODEL_KINDS = {
 }
 
 
-def _number(key: str, value) -> float:
-    """A model config value as a finite float, else ParameterError."""
+def _number(key: str, value, block: str = "model") -> float:
+    """A config value of ``block`` as a finite float, else ParameterError."""
     try:
         out = float(value)
     except (TypeError, ValueError):
-        raise ParameterError(f"model {key} must be a number, got {value!r}") from None
+        raise ParameterError(f"{block} {key} must be a number, got {value!r}") from None
     if not math.isfinite(out):
-        raise ParameterError(f"model {key} must be finite, got {value!r}")
+        raise ParameterError(f"{block} {key} must be finite, got {value!r}")
     return out
+
+
+def _check_keys(block: str, spec: dict, known) -> None:
+    """ParameterError naming the unknown keys of a config block and the
+    known ones."""
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ParameterError(f"unknown {block} keys {unknown}; known: {sorted(known)}")
 
 
 def model_from_dict(spec: dict) -> LevyModel:
@@ -730,10 +738,7 @@ def model_from_dict(spec: dict) -> LevyModel:
     if kind not in _MODEL_KINDS:
         raise ParameterError(f"unknown model kind {kind!r}")
     cls = _MODEL_KINDS[kind]
-    keys = ["kind", "mu", "params", "sigma", "x0"]
-    unknown = sorted(set(spec) - set(keys))
-    if unknown:
-        raise ParameterError(f"unknown model keys {unknown}; known: {keys}")
+    _check_keys("model", spec, ["kind", "mu", "params", "sigma", "x0"])
     common = {k: _number(k, spec.get(k, 0.0)) for k in ("x0", "mu", "sigma")}
     known = sorted(f.name for f in fields(cls) if f.name not in common)
     params = dict(spec.get("params", {}))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, ParameterError, QuadratureError
-from .models import LevyModel
+from .models import LevyModel, _check_keys, _number
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0  # Gamma(3/2)
 
@@ -262,17 +262,32 @@ def raw_sqrt_abs_payoff() -> DampedPayoff:
     )
 
 
+# each payoff kind's builder and its config keys besides "kind", in the
+# builder's argument order, with their defaults (None: required)
+_PAYOFF_KINDS = {
+    "digital": (digital_payoff, {"strike_level": None, "alpha": 1.0}),
+    "exp_indicator": (exp_indicator_payoff, {"alpha": 2.5}),
+    "sqrt_abs": (sqrt_abs_decomposition, {}),
+    "polynomial": (polynomial_payoff, {"coeffs": None}),
+    "constant": (constant_payoff, {"value": None}),
+}
+
+
 def payoff_from_dict(spec: dict):
-    """Build a payoff (or decomposition) from a JSON-style dict."""
+    """Build a payoff (or decomposition) from a JSON-style dict.  Unknown
+    kinds and keys, missing keys and non-numeric or non-finite values raise
+    ParameterError."""
     kind = spec.get("kind")
-    if kind == "digital":
-        return digital_payoff(float(spec["strike_level"]), float(spec.get("alpha", 1.0)))
-    if kind == "exp_indicator":
-        return exp_indicator_payoff(float(spec.get("alpha", 2.5)))
-    if kind == "sqrt_abs":
-        return sqrt_abs_decomposition()
+    if kind not in _PAYOFF_KINDS:
+        raise ParameterError(f"unknown payoff kind {kind!r}; known: {sorted(_PAYOFF_KINDS)}")
+    build, keys = _PAYOFF_KINDS[kind]
+    _check_keys("payoff", spec, ["kind", *keys])
+    missing = sorted(k for k, default in keys.items() if default is None and k not in spec)
+    if missing:
+        raise ParameterError(f"{kind} payoff needs {missing}")
     if kind == "polynomial":
-        return polynomial_payoff(spec["coeffs"])
-    if kind == "constant":
-        return constant_payoff(float(spec["value"]))
-    raise ParameterError(f"unknown payoff kind {kind!r}")
+        coeffs = spec["coeffs"]
+        if not isinstance(coeffs, (list, tuple)) or not coeffs:
+            raise ParameterError(f"payoff coeffs must be a non-empty list, got {coeffs!r}")
+        return build([_number("coeffs", c, "payoff") for c in coeffs])
+    return build(*[_number(k, spec.get(k, default), "payoff") for k, default in keys.items()])

@@ -1,13 +1,14 @@
 """Command-line front end: dispatch, artifacts, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyrep import __version__
+from levyrep import QuadratureGrid, __version__, build_integrands, model_from_dict, payoff_from_dict
 from levyrep.cli import config_hash, main
 
 MERTON_CFG = {
@@ -151,6 +152,57 @@ def test_bad_model_config_is_structured_error(tmp_path, capsys, model):
     rc = main(["check", "--config", _write(tmp_path, cfg)])
     assert rc == 2
     assert "ParameterError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, change, message", [
+    ("payoff", {"strike_level": "abc"}, "strike_level must be a number"),
+    ("payoff", {"strike_level": float("nan")}, "strike_level must be finite"),
+    ("payoff", {"alfa": 1.0}, r"\['alfa'\]; known: \['alpha', 'kind', 'strike_level'\]"),
+    ("payoff", {"kind": "polynomial", "coeffs": ["a"]}, "coeffs must be a number"),
+    ("market", {"r": float("nan")}, "r must be finite"),
+    ("market", {"K": float("nan")}, "K must be finite"),
+    ("market", {"T": float("inf")}, "market.T must be finite"),
+    ("market", {"Kk": 1.0}, r"unknown market keys \['Kk'\]"),
+    ("sim", {"eps_jump": "abc"}, "eps_jump must be a number"),
+], ids=["string-strike", "nan-strike", "misspelt-alpha", "string-coeff", "nan-r", "nan-K",
+        "inf-T", "misspelt-K", "string-eps"])
+def test_bad_payoff_market_sim_config_is_structured_error(tmp_path, capsys, block, change,
+                                                           message):
+    cfg = dict(MERTON_CFG, sim={"scheme": "exact"})
+    cfg[block] = change if "kind" in change else cfg[block] | change
+    if block == "market" and "T" in change:
+        del cfg["T"]
+    command = "verify-replication" if block == "sim" else "check"
+    rc = main([command, "--config", _write(tmp_path, cfg), "--paths", "10", "--steps", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ParameterError" in err and re.search(message, err)
+
+
+def test_missing_strike_level_is_structured_error(tmp_path, capsys):
+    cfg = dict(MERTON_CFG, payoff={"kind": "digital", "alpha": 1.0})
+    rc = main(["check", "--config", _write(tmp_path, cfg)])
+    assert rc == 2
+    assert "needs ['strike_level']" in capsys.readouterr().err
+
+
+def test_one_horizon_for_every_subcommand(tmp_path, capsys):
+    """A config whose only horizon is market.T = 2 replicates, prices
+    densities and hedges to T = 2."""
+    cfg = {k: v for k, v in MERTON_CFG.items() if k != "T"}
+    cfg["market"] = cfg["market"] | {"T": 2.0}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    common = ["--config", path, "--out", str(out), "--format", "json"]
+    assert main(["verify-replication", *common, "--paths", "20", "--steps", "8"]) in (0, 1)
+    rep = json.loads((out / "replication.json").read_text())
+    two = build_integrands(model_from_dict(cfg["model"]),
+                           payoff_from_dict(cfg["payoff"]), QuadratureGrid(alpha=1.0), 2.0)
+    assert rep["mean_analytic"] == two.mean
+    assert main(["check", "--config", path]) == 0
+    both = dict(cfg, T=1.0)
+    assert main(["hedge", "--config", _write(tmp_path, both, "both.json")]) == 2
+    assert "market.T and T disagree" in capsys.readouterr().err
 
 
 def test_nonpositive_tol_rejected(tmp_path, capsys):

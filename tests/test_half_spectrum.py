@@ -33,6 +33,9 @@ GRID = QuadratureGrid(alpha=1.0)
 PAYOFF = digital_payoff(-0.02, alpha=1.0)
 
 
+SWITCH = 8 * (fourier.CHEB_DEGREE + 1)  # the route needs more points than this
+
+
 def _asymmetric(zs):
     return 1j * np.ones_like(zs)
 
@@ -131,11 +134,16 @@ def test_symmetric_tables_pass_the_check():
     xs=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=9),
     shape=st.sampled_from(["0-d", "1-d", "(1, n)"]),
     block=st.sampled_from([None, 1, 3]),
+    many=st.one_of(st.just(0), st.integers(min_value=SWITCH + 1, max_value=1500)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_kernel_matches_full_complex_sum(name, frac, xs, shape, block):
+def test_kernel_matches_full_complex_sum(name, frac, xs, shape, block, many, seed):
+    """Small and large point sets, so both the direct sum and the Chebyshev
+    route are drawn."""
     model = TABLE_MODELS[name]
     t = frac * T
-    x = _shaped(xs, shape)
+    extra = np.random.default_rng(seed).uniform(-1.5, 1.5, many)
+    x = _shaped(np.concatenate([xs, extra]), shape)
     mults = [None, fourier._mult_dx, fourier._make_mult_jump(0.3)]
     table = _recorded(make_multi_table, model, PAYOFF, GRID, t, T, mults, x_probe=x)
     ys = 4.0 * x
@@ -260,3 +268,158 @@ def test_truncation_error_when_envelope_never_drops():
         fourier._auto_v_max(_contour_envelope(NIG, 1e-5), small_cap)
     with pytest.raises(TruncationError):
         fourier._auto_v_max(lambda v: np.ones_like(v), QuadratureGrid(v_cap=10.0))
+
+
+# ---------------------------------------------------------------------------
+# the piecewise Chebyshev route of the kernel
+
+
+def _abs_weights(W):
+    h = W.shape[0] // 2
+    return np.abs(W[:h]) + np.abs(W[h:])
+
+
+def _route_points(vs, W, n, lo=-1.2, hi=0.9, seed=5):
+    """n points on [lo, hi] with both ends, every piece edge and every
+    Chebyshev point of the route's pieces, and repeated points."""
+    P = fourier._cheb_pieces(vs, _abs_weights(W), hi - lo, n)
+    assert P is not None
+    edges, nodes = fourier._cheb_grid(lo, hi, P)
+    special = np.concatenate([edges, nodes.ravel(), [0.1] * 5])
+    rest = np.random.default_rng(seed).uniform(lo, hi, n - special.size)
+    return np.concatenate([rest[: rest.size // 2], special, rest[rest.size // 2 :]])
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+@pytest.mark.parametrize("shape", ["1-d", "(1, n)"])
+@pytest.mark.parametrize("block", [None, 7])
+def test_route_matches_full_sum_at_edges_nodes_and_repeats(name, shape, block):
+    mults = [None, fourier._mult_dx, fourier._make_mult_jump(0.3)]
+    table = _recorded(make_multi_table, TABLE_MODELS[name], PAYOFF, GRID, 0.5, T, mults,
+                      x_probe=np.array([-1.2, 0.0, 0.9]))
+    x = _shaped(_route_points(table._vs, table._W, 3000), shape)
+    assert fourier._half_sum_cheb(np.ravel(x), table._vs, table._W, table._alpha) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            # block rows per route product, so the pieces cross blocks
+            mp.setattr(fourier, "EVAL_BLOCK", block * (fourier.CHEB_DEGREE + 1))
+        outs = table.eval_all(x)
+    for out, w in zip(outs, table.full_ws):
+        assert out.shape == x.shape
+        assert _close(out, _full_contour_sum(table.zs, w, x))
+
+
+@pytest.mark.parametrize("name", ["merton", "nig", "star_nig"])
+def test_route_matches_full_density_sum(name):
+    dtable = _recorded(make_density_table, TABLE_MODELS[name], GRID, 0.0, T,
+                       y_probe=np.array([-3.0, 0.0, 3.0]))
+    ys = _route_points(dtable._v, dtable._W, 6001, lo=-3.0, hi=3.0)
+    assert fourier._half_sum_cheb(ys, dtable._v, dtable._W, 0.0) is not None
+    ref = _full_density_sum(dtable.vs, dtable.full_w, ys)
+    ref[np.abs(ref) < 1e-10] = np.maximum(ref[np.abs(ref) < 1e-10], 0.0)
+    assert _close(dtable.eval(ys), ref)
+
+
+def _merton_table():
+    return make_multi_table(MERTON, PAYOFF, GRID, 0.5, T, [None, fourier._mult_dx],
+                            x_probe=np.array([-1.0, 0.0, 1.0]))
+
+
+def test_route_switch_and_domain():
+    """The direct sum at n <= SWITCH, for an all-equal input (L = 0), for
+    non-finite points and when the pieces would need more than n / (4 (M+1))."""
+    table = _merton_table()
+    vs, W, alpha = table._vs, table._W, table._alpha
+
+    def direct(x):
+        return fourier._half_sum_direct(np.ravel(x), vs, W, alpha)
+
+    at_switch = np.linspace(-0.2, 0.2, SWITCH)
+    above = np.linspace(-0.2, 0.2, SWITCH + 1)
+    assert np.array_equal(fourier._half_sum(at_switch, vs, W, alpha), direct(at_switch))
+    routed = fourier._half_sum_cheb(above, vs, W, alpha)
+    assert routed is not None
+    assert np.array_equal(fourier._half_sum(above, vs, W, alpha), routed)
+
+    flat = np.full(500, 0.3)
+    assert fourier._half_sum_cheb(flat, vs, W, alpha) is None
+    assert np.array_equal(fourier._half_sum(flat, vs, W, alpha), direct(flat))
+
+    holes = np.linspace(-1.0, 1.0, 500)
+    holes[[3, 250]] = [np.nan, np.inf]
+    with np.errstate(invalid="ignore"):  # sin and cos of nan and inf
+        got = fourier._half_sum(holes, vs, W, alpha)
+        assert np.array_equal(got, direct(holes), equal_nan=True)
+    assert np.isnan(got[3]).all() and np.isfinite(got[:3]).all()
+
+    wide = np.linspace(-40.0, 40.0, 300)  # needs far more than 300 / 132 pieces
+    assert fourier._cheb_pieces(vs, _abs_weights(W), 80.0, wide.size) is None
+    assert np.array_equal(fourier._half_sum(wide, vs, W, alpha), direct(wide))
+
+
+def test_route_scalar_and_row_shapes():
+    table = _merton_table()
+    x = np.linspace(-1.0, 1.0, 1000)
+    flat = table.eval_all(x)
+    row = table.eval_all(x.reshape(1, -1))
+    point = table.eval_all(np.float64(0.25))
+    for f, r, p in zip(flat, row, point):
+        assert r.shape == (1, x.size) and np.array_equal(r[0], f)
+        assert isinstance(p, float)
+
+
+def _flat_spectrum(seed=1):
+    """Random weights of equal size up to v = 20: no decay, so the bound is
+    nearly tight, as it is for the high nodes of a short-horizon table."""
+    rng = np.random.default_rng(seed)
+    vs = np.linspace(0.5, 20.0, 300)
+    W = rng.uniform(-1.0, 1.0, (600, 2))
+    x = rng.uniform(-1.5, 1.5, 2000)
+    x[[0, -1]] = [-1.5, 1.5]
+    return vs, W, x
+
+
+def test_route_error_stays_within_its_bound():
+    vs, W, x = _flat_spectrum()
+    out = fourier._half_sum_cheb(x, vs, W, 0.0)
+    assert out is not None
+    err = np.abs(out - fourier._half_sum_direct(x, vs, W, 0.0))
+    # the a-priori bound is 1e-15 of the l1 norm; the rest is rounding
+    assert np.all(err <= 1e-13 * _abs_weights(W).sum(axis=0))
+
+
+def _one_rung_lower(P):
+    ladder = [1, 2, 4]
+    while ladder[-1] < P:
+        ladder.append(int(1.25 * ladder[-1]))
+    return ladder[ladder.index(P) - 1]
+
+
+def test_check_flags_too_few_pieces_and_the_call_returns_the_direct_sum(monkeypatch):
+    """Negative control: one rung fewer pieces than the bound asks for must
+    fail the strided check, and the kernel then returns the direct sum."""
+    vs, W, x = _flat_spectrum()
+    pieces = fourier._cheb_pieces
+    P = pieces(vs, _abs_weights(W), 3.0, x.size)
+    monkeypatch.setattr(fourier, "_cheb_pieces", lambda *a: _one_rung_lower(P))
+    assert fourier._half_sum_cheb(x, vs, W, 0.0) is None
+    assert np.array_equal(fourier._half_sum(x, vs, W, 0.0),
+                          fourier._half_sum_direct(x, vs, W, 0.0))
+
+
+def test_check_flags_a_broken_interpolant(monkeypatch):
+    """Negative control: a wrong barycentric weight (an indexing bug) and a
+    single piece on a short-horizon NIG table must both fail the check."""
+    table = make_multi_table(NIG, PAYOFF, GRID, 0.8, T, [None, fourier._mult_dx],
+                             x_probe=np.array([-1.5, 0.0, 1.5]))
+    x = np.linspace(-1.5, 1.5, 2000)
+    args = (x, table._vs, table._W, table._alpha)
+    assert fourier._half_sum_cheb(*args) is not None
+    with monkeypatch.context() as mp:
+        bw = fourier._CHEB_BW.copy()
+        bw[5] = -bw[5]
+        mp.setattr(fourier, "_CHEB_BW", bw)
+        assert fourier._half_sum_cheb(*args) is None
+    with monkeypatch.context() as mp:
+        mp.setattr(fourier, "_cheb_pieces", lambda *a: 1)
+        assert fourier._half_sum_cheb(*args) is None

@@ -105,6 +105,15 @@ def test_market_validation(merton):
     assert mkt.strike_level() == pytest.approx(math.log(1.2) - 0.1)
 
 
+@pytest.mark.parametrize("r, T, K", [
+    (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (0.0, math.nan, 1.0), (0.0, math.inf, 1.0),
+    (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+], ids=["nan-r", "inf-r", "nan-T", "inf-T", "nan-K", "inf-K"])
+def test_market_rejects_non_finite_values(merton, r, T, K):
+    with pytest.raises(ParameterError, match="finite"):
+        MarketSpec(r=r, T=T, K=K, model=merton)
+
+
 # ---------------------------------------------------------------------------
 # assumption checker
 

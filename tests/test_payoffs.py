@@ -111,6 +111,27 @@ def test_payoff_from_dict():
     assert p.kind == "digital" and p.alpha == 1.5
     with pytest.raises(ParameterError):
         payoff_from_dict({"kind": "lookback"})
+    assert payoff_from_dict({"kind": "polynomial", "coeffs": [1, "2"]}).params == (1.0, 2.0)
+    assert payoff_from_dict({"kind": "constant", "value": 3}).params == (3.0,)
+    assert payoff_from_dict({"kind": "exp_indicator"}).alpha == 2.5
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "digital", "strike_level": "abc"}, "strike_level must be a number"),
+    ({"kind": "digital"}, r"digital payoff needs \['strike_level'\]"),
+    ({"kind": "digital", "strike_level": math.nan}, "strike_level must be finite"),
+    ({"kind": "digital", "strike_level": 0.0, "alpha": math.inf}, "alpha must be finite"),
+    ({"kind": "digital", "strike_level": 0.0, "alfa": 1.0},
+     r"\['alfa'\]; known: \['alpha', 'kind', 'strike_level'\]"),
+    ({"kind": "polynomial", "coeffs": ["a"]}, "coeffs must be a number"),
+    ({"kind": "polynomial", "coeffs": 2.0}, "non-empty list"),
+    ({"kind": "constant", "value": None}, "value must be a number"),
+    ({"kind": "sqrt_abs", "alpha": 1.0}, r"\['alpha'\]; known: \['kind'\]"),
+], ids=["string-strike", "missing-strike", "nan-strike", "inf-alpha", "misspelt-alpha",
+        "string-coeff", "scalar-coeffs", "none-value", "sqrt-abs-alpha"])
+def test_payoff_from_dict_rejects_bad_values(spec, message):
+    with pytest.raises(ParameterError, match=message):
+        payoff_from_dict(spec)
 
 
 # ---------------------------------------------------------------------------
