@@ -1,20 +1,21 @@
 """Alternating parent/change benchmark pairs, summarised into BENCH_<name>.json.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_7.json \
-        --workloads nig-marks merton-paths queries --seeds 7 8 --repeats 5
+    python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_7.json --seeds 81 82 83
 
 Run from the root of a source checkout: that checkout is the change.  The
 parent revision is exported with ``git archive`` into a temporary directory.
-For every workload, each seed is run ``--repeats`` times as a pair: one
-untraced ``perfbench/run.py`` run of each side, the side that goes first
-alternating from pair to pair.  The output holds every run and, per workload
-and end-to-end metric of BENCHMARK.json, each side's median and quartiles,
-the number of pairs the change won (ties count for neither side) and whether
-the median gap exceeds the parent's inter-quartile range.  Each side also
-makes one traced run per workload at seed TRACE_SEED, whose per-layer
-metrics (node, point and call counts among them) are kept beside the
-timings.  Every run lasts the ``run_seconds`` of BENCHMARK.json.  Standard
-library only.
+For every workload of BENCHMARK.json, each seed is one pair: one untraced
+``perfbench/run.py`` run of each side, the side that goes first alternating
+from pair to pair.  A run counts as bad if it crashed, reports
+``correct: false`` or failed an operation; each side's bad runs and failed
+operations are counted per workload, and bad runs are left out of the
+summary.  The output holds every run and, per workload and end-to-end metric
+of BENCHMARK.json, each side's median and quartiles, the number of pairs the
+change won (ties count for neither side) and whether the median gap exceeds
+the parent's inter-quartile range.  Each side also makes one traced run per
+workload at seed TRACE_SEED, whose per-layer metrics (node, point and call
+counts among them) are kept beside the timings.  Every run lasts the
+``run_seconds`` of BENCHMARK.json.  Standard library only.
 """
 
 from __future__ import annotations
@@ -32,16 +33,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_SEED = 1  # seed of the one traced run per side and workload
+SIDES = ("parent", "change")
 
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--out", required=True, help="output file, e.g. BENCH_7.json")
-    ap.add_argument("--workloads", nargs="+", default=None,
-                    help="default: every workload of BENCHMARK.json")
-    ap.add_argument("--seeds", nargs="+", type=int, required=True)
-    ap.add_argument("--repeats", type=int, default=1, help="pairs per workload and seed")
+    ap.add_argument("--seeds", nargs="+", type=int, required=True,
+                    help="one pair per seed and workload")
     return ap.parse_args(argv)
 
 
@@ -68,6 +68,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def is_bad(run: dict) -> bool:
+    """A run that crashed, failed its checks or failed an operation."""
+    return "error" in run or run.get("correct") is not True or run.get("failed", 0) > 0
+
+
 def quartiles(values):
     """(q1, median, q3) of the values, None where there are none."""
     if not values:
@@ -79,18 +84,21 @@ def quartiles(values):
 
 
 def value(run: dict, name: str):
-    """A metric's value in one run's result, None where it has none."""
+    """A metric's value in a good run, None for a bad run or a missing metric."""
+    if is_bad(run):
+        return None
     return run.get("metrics", {}).get(name, {}).get("value")
 
 
 def summarise(pairs, metrics):
-    """Per end-to-end metric: each side's quartiles, the change's wins and
-    whether the medians differ by more than the parent's quartile spread."""
-    out = {}
+    """Each side's bad runs and failed operations, and per end-to-end metric
+    over the good runs: each side's quartiles, the change's wins and whether
+    the medians differ by more than the parent's quartile spread."""
+    out = {side: {"bad_runs": sum(is_bad(p[side]) for p in pairs),
+                  "failed_operations": sum(p[side].get("failed", 0) for p in pairs)}
+           for side in SIDES}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
-        sides = {s: [v for p in pairs if (v := value(p[s], name)) is not None]
-                 for s in ("parent", "change")}
         wins = 0
         for p in pairs:
             a, b = value(p["parent"], name), value(p["change"], name)
@@ -98,7 +106,8 @@ def summarise(pairs, metrics):
                 wins += 1
         entry = {"better": m["better"], "unit": m["unit"], "pairs": len(pairs),
                  "change_wins": wins}
-        for side, values in sides.items():
+        for side in SIDES:
+            values = [v for p in pairs if (v := value(p[side], name)) is not None]
             q1, med, q3 = quartiles(values)
             entry[side] = {"median": med, "q1": q1, "q3": q3, "runs": len(values)}
         p, c = entry["parent"], entry["change"]
@@ -112,7 +121,6 @@ def summarise(pairs, metrics):
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     def git(*cmd):
         return subprocess.run(["git", *cmd], cwd=ROOT, check=True, capture_output=True,
@@ -121,7 +129,7 @@ def main(argv=None):
     report = {"parent": None, "trace_seed": TRACE_SEED,
               "change": {"head": git("rev-parse", "HEAD"),
                          "uncommitted_changes": bool(git("status", "--porcelain"))},
-              "seconds": seconds, "seeds": args.seeds, "repeats": args.repeats,
+              "seconds": seconds, "seeds": args.seeds,
               "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "host": {"machine": platform.machine(), "python": platform.python_version(),
                        "processor": platform.processor()},
@@ -130,21 +138,20 @@ def main(argv=None):
         parent = Path(tmp) / "parent"
         parent.mkdir()
         report["parent"] = export(args.parent, parent)
-        sides = {"parent": parent, "change": ROOT}
+        checkouts = {"parent": parent, "change": ROOT}
         k = 0
-        for workload in workloads:
-            pairs, traced = [], {}
+        for workload in (w["name"] for w in spec["workloads"]):
+            pairs = []
             for seed in args.seeds:
-                for _ in range(args.repeats):
-                    order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                    pair = {"seed": seed, "first": order[0]}
-                    for side in order:
-                        pair[side] = run_once(sides[side], workload, seed, seconds, 0)
-                    pairs.append(pair)
-                    k += 1
-                    print(f"{workload} seed {seed}: pair {len(pairs)} done", file=sys.stderr)
-            for side in ("parent", "change"):
-                traced[side] = run_once(sides[side], workload, TRACE_SEED, seconds, 1)
+                order = SIDES if k % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(checkouts[side], workload, seed, seconds, 0)
+                pairs.append(pair)
+                k += 1
+                print(f"{workload} seed {seed}: pair {len(pairs)} done", file=sys.stderr)
+            traced = {side: run_once(checkouts[side], workload, TRACE_SEED, seconds, 1)
+                      for side in SIDES}
             report["workloads"][workload] = {
                 "summary": summarise(pairs, spec["end_to_end"]),
                 "pairs": pairs,

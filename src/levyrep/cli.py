@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import check_keys, config_number
 from .errors import LevyRepError, ParameterError
 from .fourier import density_batch, grid_from_dict
 from .hedging import fs_path_study, hedge_grid, orthogonality_check
 from .malliavin import malliavin_classify
 from .mmm import MarketSpec, build_mmm, check_assumption3, density_star
-from .models import _check_keys, _number, check_assumption1, model_from_dict
+from .models import check_assumption1, model_from_dict
 from .payoffs import (
     PayoffDecomposition,
     check_assumption2,
@@ -86,7 +87,7 @@ def _horizon(config: dict) -> float:
     """The one horizon T of every subcommand: ``market.T`` or the top-level
     ``T`` (1 if neither is given).  Both given and different, non-numeric,
     non-finite or non-positive raise ParameterError."""
-    given = {name: _number(name, value, "config") for name, value in
+    given = {name: config_number(name, value, "config") for name, value in
              (("market.T", config.get("market", {}).get("T")), ("T", config.get("T")))
              if value is not None}
     if len(set(given.values())) > 1:
@@ -99,11 +100,11 @@ def _horizon(config: dict) -> float:
 
 def _market_from(config: dict, model) -> MarketSpec:
     mkt = config.get("market", {})
-    _check_keys("market", mkt, ["K", "T", "r"])
+    check_keys("market", mkt, ["K", "T", "r"])
     return MarketSpec(
-        r=_number("r", mkt.get("r", 0.0), "market"),
+        r=config_number("r", mkt.get("r", 0.0), "market"),
         T=_horizon(config),
-        K=_number("K", mkt.get("K", 1.0), "market"),
+        K=config_number("K", mkt.get("K", 1.0), "market"),
         model=model,
     )
 
@@ -111,8 +112,9 @@ def _market_from(config: dict, model) -> MarketSpec:
 def _sim_from(config: dict):
     """(scheme, eps_jump) from the config's ``sim`` block."""
     sim = config.get("sim", {})
-    _check_keys("sim", sim, ["eps_jump", "scheme"])
-    return sim.get("scheme", "exact"), _number("eps_jump", sim.get("eps_jump", 1e-3), "sim")
+    check_keys("sim", sim, ["eps_jump", "scheme"])
+    eps_jump = config_number("eps_jump", sim.get("eps_jump", 1e-3), "sim")
+    return sim.get("scheme", "exact"), eps_jump
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import check_keys
 from .errors import DomainError, ParameterError, QuadratureError, TruncationError
 from .models import BrownianModel, LevyModel
 from .payoffs import DampedPayoff
@@ -99,9 +100,7 @@ def grid_from_dict(spec: dict) -> QuadratureGrid:
     """QuadratureGrid from a config's ``grid`` block; ``v_max`` may be
     None or "auto".  Unknown keys and non-numeric values raise
     ParameterError."""
-    unknown = sorted(set(spec) - set(_GRID_KEYS))
-    if unknown:
-        raise ParameterError(f"unknown grid keys {unknown}; known: {sorted(_GRID_KEYS)}")
+    check_keys("grid", spec, _GRID_KEYS)
     kwargs = {}
     for key, value in spec.items():
         if key == "v_max" and value in (None, "auto"):

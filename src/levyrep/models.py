@@ -18,6 +18,7 @@ import numpy as np
 from scipy import integrate
 
 from .bessel import k1e
+from .config import check_keys, config_number
 from .errors import DomainError, InconclusiveError, ParameterError
 
 # Custom nu-integrals split the domain here and use a Taylor expansion below.
@@ -711,25 +712,6 @@ _MODEL_KINDS = {
 }
 
 
-def _number(key: str, value, block: str = "model") -> float:
-    """A config value of ``block`` as a finite float, else ParameterError."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{block} {key} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ParameterError(f"{block} {key} must be finite, got {value!r}")
-    return out
-
-
-def _check_keys(block: str, spec: dict, known) -> None:
-    """ParameterError naming the unknown keys of a config block and the
-    known ones."""
-    unknown = sorted(set(spec) - set(known))
-    if unknown:
-        raise ParameterError(f"unknown {block} keys {unknown}; known: {sorted(known)}")
-
-
 def model_from_dict(spec: dict) -> LevyModel:
     """Build a model from {"kind": ..., "params": {...}, "mu", "sigma", "x0"}.
     Unknown key or parameter names and non-numeric or non-finite values
@@ -738,8 +720,8 @@ def model_from_dict(spec: dict) -> LevyModel:
     if kind not in _MODEL_KINDS:
         raise ParameterError(f"unknown model kind {kind!r}")
     cls = _MODEL_KINDS[kind]
-    _check_keys("model", spec, ["kind", "mu", "params", "sigma", "x0"])
-    common = {k: _number(k, spec.get(k, 0.0)) for k in ("x0", "mu", "sigma")}
+    check_keys("model", spec, ["kind", "mu", "params", "sigma", "x0"])
+    common = {k: config_number(k, spec.get(k, 0.0), "model") for k in ("x0", "mu", "sigma")}
     known = sorted(f.name for f in fields(cls) if f.name not in common)
     params = dict(spec.get("params", {}))
     unknown = sorted(set(params) - set(known))
@@ -747,7 +729,7 @@ def model_from_dict(spec: dict) -> LevyModel:
         raise ParameterError(f"unknown {kind} parameters {unknown}; known: {known}")
     for key, value in params.items():
         if kind == "custom":  # every custom parameter is a knot table
-            params[key] = tuple(_number(key, v) for v in np.atleast_1d(value))
+            params[key] = tuple(config_number(key, v, "model") for v in np.atleast_1d(value))
         else:
-            params[key] = _number(key, value)
+            params[key] = config_number(key, value, "model")
     return cls(**common, **params)

@@ -13,7 +13,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, ParameterError, QuadratureError
-from .models import LevyModel, _check_keys, _number
+from .config import check_keys, config_number
+from .models import LevyModel
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0  # Gamma(3/2)
 
@@ -281,7 +282,7 @@ def payoff_from_dict(spec: dict):
     if kind not in _PAYOFF_KINDS:
         raise ParameterError(f"unknown payoff kind {kind!r}; known: {sorted(_PAYOFF_KINDS)}")
     build, keys = _PAYOFF_KINDS[kind]
-    _check_keys("payoff", spec, ["kind", *keys])
+    check_keys("payoff", spec, ["kind", *keys])
     missing = sorted(k for k, default in keys.items() if default is None and k not in spec)
     if missing:
         raise ParameterError(f"{kind} payoff needs {missing}")
@@ -289,5 +290,6 @@ def payoff_from_dict(spec: dict):
         coeffs = spec["coeffs"]
         if not isinstance(coeffs, (list, tuple)) or not coeffs:
             raise ParameterError(f"payoff coeffs must be a non-empty list, got {coeffs!r}")
-        return build([_number("coeffs", c, "payoff") for c in coeffs])
-    return build(*[_number(k, spec.get(k, default), "payoff") for k, default in keys.items()])
+        return build([config_number("coeffs", c, "payoff") for c in coeffs])
+    return build(*[config_number(k, spec.get(k, default), "payoff")
+                   for k, default in keys.items()])

@@ -127,7 +127,7 @@ def test_symmetric_tables_pass_the_check():
 # the half-spectrum kernel against the full complex sum
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(TABLE_MODELS)),
     frac=st.floats(min_value=0.0, max_value=0.98),
@@ -139,7 +139,10 @@ def test_symmetric_tables_pass_the_check():
 )
 def test_kernel_matches_full_complex_sum(name, frac, xs, shape, block, many, seed):
     """Small and large point sets, so both the direct sum and the Chebyshev
-    route are drawn."""
+    route are drawn.  A 0-d input keeps one point, so it draws no extra ones;
+    about 40 of the 60 examples stay small."""
+    if shape == "0-d":
+        many = 0
     model = TABLE_MODELS[name]
     t = frac * T
     extra = np.random.default_rng(seed).uniform(-1.5, 1.5, many)
