@@ -14,8 +14,9 @@ of BENCHMARK.json, each side's median and quartiles, the number of pairs the
 change won (ties count for neither side) and whether the median gap exceeds
 the parent's inter-quartile range.  Each side also makes one traced run per
 workload at seed TRACE_SEED, whose per-layer metrics (node, point and call
-counts among them) are kept beside the timings.  Every run lasts the
-``run_seconds`` of BENCHMARK.json.  Standard library only.
+counts among them) are kept beside the timings, and each side's line count
+of ``src/levyrep`` is recorded.  Every run lasts the ``run_seconds`` of
+BENCHMARK.json.  Standard library only.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def export(rev: str, dest: Path) -> str:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return sha
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under src/levyrep in a checkout."""
+    return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "levyrep").rglob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -139,6 +145,7 @@ def main(argv=None):
         parent.mkdir()
         report["parent"] = export(args.parent, parent)
         checkouts = {"parent": parent, "change": ROOT}
+        report["src_lines"] = {side: src_lines(checkouts[side]) for side in SIDES}
         k = 0
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import check_keys, config_number
+from .config import check_keys, config_count, config_number
 from .errors import LevyRepError, ParameterError
 from .fourier import density_batch, grid_from_dict
 from .hedging import fs_path_study, hedge_grid, orthogonality_check
@@ -99,8 +99,7 @@ def _horizon(config: dict) -> float:
 
 
 def _market_from(config: dict, model) -> MarketSpec:
-    mkt = config.get("market", {})
-    check_keys("market", mkt, ["K", "T", "r"])
+    mkt = _block(config, "market", ["K", "T", "r"])
     return MarketSpec(
         r=config_number("r", mkt.get("r", 0.0), "market"),
         T=_horizon(config),
@@ -109,10 +108,17 @@ def _market_from(config: dict, model) -> MarketSpec:
     )
 
 
+def _block(config: dict, name: str, known) -> dict:
+    """The config's ``name`` block ({} if absent); unknown keys raise
+    ParameterError."""
+    spec = config.get(name, {})
+    check_keys(name, spec, known)
+    return spec
+
+
 def _sim_from(config: dict):
     """(scheme, eps_jump) from the config's ``sim`` block."""
-    sim = config.get("sim", {})
-    check_keys("sim", sim, ["eps_jump", "scheme"])
+    sim = _block(config, "sim", ["eps_jump", "scheme"])
     eps_jump = config_number("eps_jump", sim.get("eps_jump", 1e-3), "sim")
     return sim.get("scheme", "exact"), eps_jump
 
@@ -163,12 +169,15 @@ def _cmd_represent(args, config: dict) -> int:
     T = _horizon(config)
     payoff = payoff_from_dict(config["payoff"])
     ints = build_integrands(model, payoff, grid, T)
-    rep = config.get("represent", {})
-    n_t = int(rep.get("n_t", 20))
-    n_x = int(rep.get("n_x", 41))
-    x_lo = float(rep.get("x_lo", model.x0 - 2.0))
-    x_hi = float(rep.get("x_hi", model.x0 + 2.0))
-    jump_ys = [float(y) for y in rep.get("theta_jumps", (-0.2, 0.2))]
+    rep = _block(config, "represent", ["n_t", "n_x", "theta_jumps", "x_hi", "x_lo"])
+    n_t = config_count("n_t", rep.get("n_t", 20), "represent")
+    n_x = config_count("n_x", rep.get("n_x", 41), "represent")
+    x_lo = config_number("x_lo", rep.get("x_lo", model.x0 - 2.0), "represent")
+    x_hi = config_number("x_hi", rep.get("x_hi", model.x0 + 2.0), "represent")
+    jumps = rep.get("theta_jumps", (-0.2, 0.2))
+    if not isinstance(jumps, (list, tuple)):
+        raise ParameterError(f"represent theta_jumps must be a list of numbers, got {jumps!r}")
+    jump_ys = [config_number("theta_jumps", y, "represent") for y in jumps]
     ts = np.linspace(0.0, 0.9 * T, n_t)
     xs = np.linspace(x_lo, x_hi, n_x)
     rows = []
@@ -185,14 +194,17 @@ def _cmd_represent(args, config: dict) -> int:
 
 def _cmd_density(args, config: dict) -> int:
     model, grid = _build_common(config)
-    dn = config.get("density", {})
+    dn = _block(config, "density", ["measure", "n_y", "t", "y_hi", "y_lo"])
     T = _horizon(config)
-    t = float(dn.get("t", 0.0))
-    n_y = int(dn.get("n_y", 201))
-    y_lo = float(dn.get("y_lo", -3.0))
-    y_hi = float(dn.get("y_hi", 3.0))
+    t = config_number("t", dn.get("t", 0.0), "density")
+    n_y = config_count("n_y", dn.get("n_y", 201), "density")
+    y_lo = config_number("y_lo", dn.get("y_lo", -3.0), "density")
+    y_hi = config_number("y_hi", dn.get("y_hi", 3.0), "density")
+    measure = dn.get("measure", "physical")
+    if measure not in ("physical", "mmm"):
+        raise ParameterError(f"density measure must be 'physical' or 'mmm', got {measure!r}")
     ys = np.linspace(y_lo, y_hi, n_y)
-    if dn.get("measure", "physical") == "mmm":
+    if measure == "mmm":
         market = _market_from(config, model)
         transform = build_mmm(market)
         ps = density_star(transform, grid, t, ys)
@@ -208,11 +220,10 @@ def _cmd_hedge(args, config: dict) -> int:
     model, grid = _build_common(config)
     market = _market_from(config, model)
     transform = build_mmm(market)
-    hg = config.get("hedge", {})
-    rows = hedge_grid(
-        market, transform, grid,
-        n_t=int(hg.get("n_t", 50)), n_s=int(hg.get("n_s", 101)),
-    )
+    hg = _block(config, "hedge", ["n_s", "n_t"])
+    n_t = config_count("n_t", hg.get("n_t", 50), "hedge")
+    n_s = config_count("n_s", hg.get("n_s", 101), "hedge")
+    rows = hedge_grid(market, transform, grid, n_t=n_t, n_s=n_s)
     cols = ["t", "S", "xi", "kappa", "nu_integral", "err_estimate"]
     _emit(args, config_hash(config), "hedge", rows=rows, columns=cols,
           payload={"rows": rows, "columns": cols})

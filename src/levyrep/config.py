@@ -1,5 +1,6 @@
 """Checks shared by every block of a JSON config (model, payoff, grid,
-market, sim): unknown keys and non-numeric or non-finite values raise
+market, sim, represent, density, hedge): unknown keys, non-numeric or
+non-finite values and counts that are not positive integers raise
 ParameterError."""
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ def config_number(key: str, value, block: str) -> float:
     if not math.isfinite(out):
         raise ParameterError(f"{block} {key} must be finite, got {value!r}")
     return out
+
+
+def config_count(key: str, value, block: str) -> int:
+    """A config value of ``block`` as an integer >= 1, else ParameterError."""
+    out = config_number(key, value, block)
+    if out < 1 or out != int(out):
+        raise ParameterError(f"{block} {key} must be an integer >= 1, got {value!r}")
+    return int(out)
 
 
 def check_keys(block: str, spec: dict, known) -> None:

@@ -4,11 +4,11 @@ Everything here evaluates integrals of the form
 
     (1/2pi) int_R  m(z_v) ghat(x, -i z_v) phi(t, i z_v) dv,    z_v = i v - alpha,
 
-for multipliers m covering F, its x/t-derivatives, jump differences and
-compensated jump integrals, plus the (undamped) transition density.  Nodes are
-composite Gauss-Legendre panels, frequency-aware in the oscillation rate and
-refined until two quadrature orders agree; the truncation bound grows until
-the integrand envelope is negligible.
+for multipliers m covering F, its x/t-derivatives and compensated jump
+integrals, plus the undamped transition density and near-maturity digital
+fallback.  Nodes are composite Gauss-Legendre panels, frequency-aware in the
+oscillation rate and refined until two quadrature orders agree; the
+truncation bound grows until the integrand envelope is negligible.
 
 The nodes are symmetric in +/-v and every integrand is conjugate-symmetric,
 w(-v) = conj(w(v)), so each sum -- table evaluation and the convergence
@@ -21,19 +21,18 @@ band-limited in x, so a large point set is interpolated piecewise from the
 direct sum at Chebyshev points, with an a-priori error bound at rounding
 level and a strided check against the direct sum (``_half_sum_cheb``);
 small point sets, and every call the route does not fit, take the direct
-sum (``_half_sum_direct``).  The symmetry itself is checked
-once, when ``MultiTable`` or ``DensityTable`` is constructed from the full
-symmetric node set, so an asymmetric multiplier raises QuadratureError
-whatever the number of points later evaluated.
+sum (``_half_sum_direct``).  The symmetry itself is checked once, when
+``MultiTable`` or ``DensityTable`` is constructed from the full symmetric
+node set, so an asymmetric multiplier raises QuadratureError whatever the
+number of points later evaluated.
 
 One private evaluator, ``_contour``, builds every contour table: the public
-operations (``conditional_value``, ``dF_dx``, ``d2F_dx2``, ``dF_dt``,
-``jump_difference``, ``jump_compensator``, the nu-term of ``pide_residual``),
-the representation integrands, the hedge and the path drivers all pass it
-their multipliers and points.  It owns the one probe policy -- the table is
-tuned at the distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points -- and
-returns a float for a scalar point, an array of the input's shape otherwise.
-One refinement loop, ``_adapt``, refines contour and density tables alike.
+operations, the representation integrands, the hedge and the path drivers
+all pass it their multipliers and points (``jump_difference`` is F at x and
+x + y from one table).  It returns a float for a scalar point, an array of
+the input's shape otherwise.  Contour and fallback tables are tuned at
+``_probe``, the distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points, and
+one refinement loop, ``_adapt``, refines every table.
 ``conditional_value_batch``, ``dF_dx_batch`` and ``density_batch`` are the
 same functions under their batch names.
 """
@@ -53,6 +52,7 @@ from .models import BrownianModel, LevyModel
 from .payoffs import DampedPayoff
 
 IMAG_RESIDUAL_TOL = 1e-8
+BASE_PANELS = 8  # panels of [0, v_max] before the oscillation cap and refinement
 EVAL_BLOCK = 4_000_000  # trig-matrix entries per block of evaluation points
 
 # piecewise Chebyshev route of _half_sum: degree M per piece, the a-priori
@@ -71,11 +71,10 @@ _CHEB_BW[[0, -1]] *= 0.5
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Contour configuration: damping alpha, truncation, node budget."""
+    """Contour configuration: damping alpha, truncation, tolerances."""
 
     alpha: float = 1.0
     v_max: float | None = None  # None -> grow until the envelope is negligible
-    n_nodes: int = 256
     tol: float = 1e-9
     tail_tol: float = 1e-12
     v_cap: float = 1e6
@@ -84,8 +83,6 @@ class QuadratureGrid:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ParameterError("alpha must be finite")
-        if self.n_nodes < 64 or self.n_nodes % 2:
-            raise ParameterError("n_nodes must be even and >= 64")
         if self.v_max is not None and not 0 < self.v_max < math.inf:
             raise ParameterError("v_max must be positive and finite")
         if not 0 < self.tol < math.inf:
@@ -93,7 +90,7 @@ class QuadratureGrid:
 
 
 # config keys of grid_from_dict and the type each is read as
-_GRID_KEYS = {"alpha": float, "v_max": float, "n_nodes": int, "tol": float}
+_GRID_KEYS = {"alpha": float, "v_max": float, "tol": float}
 
 
 def grid_from_dict(spec: dict) -> QuadratureGrid:
@@ -118,11 +115,11 @@ def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_edges(v_max: float, omega: float, n_min_panels: int = 8) -> np.ndarray:
+def _panel_edges(v_max: float, omega: float) -> np.ndarray:
     """Panel edges on [0, v_max]: geometric growth away from the origin,
     width capped so a 24-point rule resolves the local oscillation."""
     h_cap = 30.0 / max(omega, 1e-12)
-    h0 = min(v_max / n_min_panels, h_cap, 4.0)
+    h0 = min(v_max / BASE_PANELS, h_cap, 4.0)
     edges = [0.0]
     h = h0
     while edges[-1] < v_max:
@@ -373,7 +370,6 @@ def make_multi_table(
     T: float,
     multipliers,
     x_probe=None,
-    extra_omega: float = 0.0,
 ) -> MultiTable:
     """Adapt one contour node set until every multiplier's probe converges."""
     if t >= T:
@@ -387,7 +383,7 @@ def make_multi_table(
     if x_probe is None:
         x_probe = np.array([payoff.osc_center])
     x_probe = np.atleast_1d(np.asarray(x_probe, dtype=float))
-    omega = float(np.max(np.abs(x_probe - payoff.osc_center))) + extra_omega
+    omega = float(np.max(np.abs(x_probe - payoff.osc_center)))
 
     # payoff-scale constant for the truncation envelope
     z_ref = 1j * 1.0 - alpha
@@ -410,13 +406,12 @@ def make_multi_table(
         base = payoff.transform_contour(zs) * np.exp(tau * model.psi(1j * zs))
         return [(base if m is None else base * m(zs)) * ws for m in multipliers]
 
-    base_edges = _panel_edges(v_max, omega, n_min_panels=max(8, grid.n_nodes // 32))
-    vs, ws, err = _adapt(weighted, base_edges, x_probe, alpha, grid, "contour")
+    vs, ws, err = _adapt(weighted, _panel_edges(v_max, omega), x_probe, alpha, grid, "contour")
     return MultiTable(1j * vs - alpha, ws, err)
 
 
 def _adapt(weighted, base_edges, probe, alpha, grid, what):
-    """The one refinement loop of contour and density tables.
+    """The one refinement loop of contour, density and fallback tables.
 
     Splits every panel of ``base_edges`` into 2^level pieces until the 16-
     and 24-point Gauss-Legendre sums of every integrand agree at every probe
@@ -477,13 +472,6 @@ def _make_mult_nu_plain(model):
     return mult
 
 
-def _make_mult_jump(y: float):
-    def mult(zs):
-        return np.exp(-zs * y) - 1.0
-
-    return mult
-
-
 def truncated_nu_nodes(model, eps: float, n_panels: int = 40, order: int = 10):
     """Gauss-Legendre nodes/weights for integrals against nu on |y| >= eps;
     the weights already include the density."""
@@ -533,40 +521,23 @@ def make_mult_nu_truncated(model, eps: float, weight=None):
 # ---------------------------------------------------------------------------
 # near-maturity fallback for indicator claims
 
-_FALLBACK_TAIL_TOL = 1e-10
-_FALLBACK_V_CAP = 1e8
-_FALLBACK_MAX_NODES = 6_000_000
 
+def _digital_tail(model, grid, t, T, q):
+    """P(X_T - X_t > q) at every point of q, clipped to [0, 1], by sign
+    inversion: 1/2 + (1/pi) int_0^inf Im(e^{-ivq} phi(t, v)) / v dv, one
+    table of the kernel -i phi(v) / v per call.
 
-def _digital_tail_probability(model, t, T, q, tol):
-    """P(X_T - X_t > q) by sign-inversion of the characteristic function:
-    1/2 + (1/pi) int_0^inf Im(e^{-ivq} phi(t, v)) / v dv.
-
-    Used when the damped contour cannot be truncated: the 1/v factor here
-    restores convergence for very short horizons.
-    """
+    Used when the damped contour cannot be truncated: the 1/v factor
+    restores convergence for very short horizons."""
     tau = T - t
-
-    def envelope(v):
-        return np.exp(tau * np.real(model.psi(v))) / np.maximum(v, 1.0)
-
-    grid_fb = QuadratureGrid(tail_tol=_FALLBACK_TAIL_TOL, v_cap=_FALLBACK_V_CAP)
-    v_max = _auto_v_max(envelope, grid_fb)
-    edges = _panel_edges(v_max, abs(q), n_min_panels=8)
-
-    def value(order):
-        vs, ws = _nodes_weights(edges, order)
-        g = np.imag(np.exp(-1j * vs * q) * np.exp(tau * model.psi(vs))) / vs
-        return 0.5 + float(g @ ws) / math.pi
-
-    for level in range(5):
-        if (edges.size - 1) * 24 > _FALLBACK_MAX_NODES:
-            raise TruncationError("near-maturity fallback node budget exhausted")
-        lo, hi = value(16), value(24)
-        if abs(hi - lo) <= max(tol, 1e-10) * (1.0 + abs(hi)):
-            return min(max(hi, 0.0), 1.0)
-        edges = _split_edges(edges, 2)
-    raise QuadratureError("near-maturity fallback did not converge")
+    grid = replace(grid, v_max=None, tail_tol=1e-10, v_cap=1e8, max_nodes=12_000_000)
+    v_max = _auto_v_max(lambda v: np.exp(tau * np.real(model.psi(v))) / np.maximum(v, 1.0), grid)
+    probe = _probe(q)
+    edges = _panel_edges(v_max, float(np.max(np.abs(probe))))
+    vs, ws, err = _adapt(lambda vs, ws: [-1j * np.exp(tau * model.psi(vs)) / vs * ws],
+                         edges, probe, 0.0, grid, "near-maturity fallback")
+    (p,) = MultiTable(1j * vs, ws, err).eval_all(q)
+    return np.clip(0.5 + p, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -578,23 +549,25 @@ def _full(x, c):
     return float(c) if np.ndim(x) == 0 else np.full(np.shape(x), float(c))
 
 
-def _contour(model, payoff, grid, t, x, T, multipliers, extra_omega=0.0):
+def _probe(xs):
+    """The distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points; for a
+    scalar point, the point itself."""
+    return np.unique(np.quantile(xs, [0.0, 0.25, 0.5, 0.75, 1.0]))
+
+
+def _contour(model, payoff, grid, t, x, T, multipliers):
     """Every contour table is built here.  Returns (values, err_estimate)
     with one value per multiplier (None for F itself): a float for scalar x,
     else an array of x's shape.
 
-    The table is tuned at the distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of
-    the points, which for a scalar point is the point itself.  A constant
-    payoff needs no table: F is the constant, every multiplier (derivatives,
-    jump terms) gives 0, and the error is 0."""
+    The table is tuned at ``_probe`` of the points.  A constant payoff needs
+    no table: F is the constant, every multiplier (derivatives, jump terms)
+    gives 0, and the error is 0."""
     if payoff.kind == "constant":
         c = payoff.params[0]
         return [_full(x, c if m is None else 0.0) for m in multipliers], 0.0
     xs = np.asarray(x, dtype=float)
-    probe = np.unique(np.quantile(xs, [0.0, 0.25, 0.5, 0.75, 1.0]))
-    table = make_multi_table(
-        model, payoff, grid, t, T, multipliers, x_probe=probe, extra_omega=extra_omega
-    )
+    table = make_multi_table(model, payoff, grid, t, T, multipliers, x_probe=_probe(xs))
     return table.eval_all(xs), table.err_estimate
 
 
@@ -610,9 +583,8 @@ def conditional_value(model, payoff, grid, t, x, T):
     except TruncationError:
         if payoff.kind != "digital":
             raise
-    p = [_digital_tail_probability(model, t, T, payoff.params[0] - xi, grid.tol)
-         for xi in xs.ravel()]
-    return p[0] if xs.ndim == 0 else np.reshape(p, xs.shape)
+    p = _digital_tail(model, grid, t, T, payoff.params[0] - xs)
+    return float(p) if xs.ndim == 0 else p
 
 
 def dF_dx(model, payoff, grid, t, x, T):
@@ -631,12 +603,13 @@ def dF_dt(model, payoff, grid, t, x, T):
 
 
 def jump_difference(model, payoff, grid, t, x, y, T):
-    """F(t, x + y) - F(t, x) as a single quadrature with factor e^{-z_v y} - 1."""
+    """F(t, x + y) - F(t, x), from one table of F at x and x + y."""
     if y == 0.0:
         return _full(x, 0.0)
-    (diff,), _ = _contour(model, payoff, grid, t, x, T, [_make_mult_jump(y)],
-                          extra_omega=abs(y))
-    return diff
+    xs = np.ravel(np.asarray(x, dtype=float))
+    (F,), _ = _contour(model, payoff, grid, t, np.concatenate([xs, xs + y]), T, [None])
+    diff = F[xs.size:] - F[: xs.size]
+    return float(diff[0]) if np.ndim(x) == 0 else diff.reshape(np.shape(x))
 
 
 def jump_compensator(model, payoff, grid, t, x, T):
@@ -705,12 +678,11 @@ def make_density_table(model, grid, t, T, y_probe=None) -> DensityTable:
         return np.exp(tau * np.real(model.psi(v)))
 
     v_max = _auto_v_max(envelope, replace(grid, tail_tol=min(grid.tail_tol, 1e-13)))
-    base_edges = _panel_edges(v_max, omega, n_min_panels=max(8, grid.n_nodes // 32))
 
     def weighted(vs, ws):
         return [np.exp(tau * model.psi(vs)) * ws]
 
-    vs, (w,), err = _adapt(weighted, base_edges, y_probe, 0.0, grid, "density")
+    vs, (w,), err = _adapt(weighted, _panel_edges(v_max, omega), y_probe, 0.0, grid, "density")
     return DensityTable(vs, w, err)
 
 

@@ -29,12 +29,11 @@ from .fourier import (
     _make_mult_nu_plain,
     _mult_dx,
     make_mult_nu_truncated,
-    truncated_nu_nodes,
 )
 # perfbench/tracing.py wraps make_multi_table in this module by name, so the
 # name stays importable here although every table is built by _contour
 from .fourier import make_multi_table  # noqa: F401
-from .mmm import MarketSpec, MmmTransform
+from .mmm import MarketSpec, MmmTransform, exp_jump_mean
 from .models import BrownianModel
 from .payoffs import digital_payoff
 from .simulate import PathBatch
@@ -88,17 +87,6 @@ def _hedge_multipliers(market: MarketSpec, eps: float | None, with_comp: bool):
     if with_comp:
         mults.append(make_mult_nu_truncated(model, eps))
     return mults
-
-
-def _exp_jump_mean(market: MarketSpec, eps: float | None) -> float:
-    """int (e^y - 1) nu(dy), truncated to |y| >= eps when requested."""
-    model = market.model
-    if isinstance(model, BrownianModel):
-        return 0.0
-    if eps is None:
-        return model.exp_jump_cumulant(1.0) + model.nu_mean()
-    ys, wts = truncated_nu_nodes(model, eps)
-    return float((np.exp(ys) - 1.0) @ wts)
 
 
 def hedge_components_batch(
@@ -214,7 +202,7 @@ def fs_path_study(
             )
     sigma = model.sigma
     disc = math.exp(-market.r * market.T)
-    m1_exp = _exp_jump_mean(market, eps)
+    m1_exp = exp_jump_mean(model, eps)
     n_paths, n_steps, dt = batch.n_paths, batch.n_steps, batch.dt
 
     gains = np.zeros(n_paths)

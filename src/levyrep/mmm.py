@@ -194,6 +194,16 @@ def density_star(transform: MmmTransform, grid: QuadratureGrid, t: float, y):
     return _density(transform.star, grid, t, transform.market.T, y)
 
 
+def exp_jump_mean(model: LevyModel, eps: float | None = None) -> float:
+    """int (e^y - 1) nu(dy), truncated to |y| >= eps when eps is given."""
+    if isinstance(model, BrownianModel):
+        return 0.0
+    if eps is None:
+        return model.exp_jump_cumulant(1.0) + model.nu_mean()
+    ys, wts = truncated_nu_nodes(model, eps)
+    return float((np.exp(ys) - 1.0) @ wts)
+
+
 def mmm_log_density(transform: MmmTransform, batch: PathBatch,
                     path_index: int | None = None):
     """log(dP~/dP) along simulated physical-measure paths.
@@ -217,14 +227,9 @@ def mmm_log_density(transform: MmmTransform, batch: PathBatch,
             )
         logs = np.zeros(batch.n_paths)
         np.add.at(logs, batch.jump_path, np.log(factors))
-        if batch.scheme == "marks":
-            ys, wts = truncated_nu_nodes(model, batch.eps_jump)
-            comp = float((transform.star_density_factor(ys) - 1.0) @ wts)
-        else:
-            # int (factor - 1) nu = -load int (e^x - 1) nu
-            comp = -transform.load * (
-                model.exp_jump_cumulant(1.0) + model.nu_mean()
-            )
+        # int (factor - 1) nu = -load int (e^y - 1) nu
+        eps = batch.eps_jump if batch.scheme == "marks" else None
+        comp = -transform.load * exp_jump_mean(model, eps)
         out += logs - T * comp
     if path_index is not None:
         return float(out[path_index])

@@ -179,6 +179,58 @@ def test_bad_payoff_market_sim_config_is_structured_error(tmp_path, capsys, bloc
     assert "ParameterError" in err and re.search(message, err)
 
 
+@pytest.mark.parametrize("block, change, message", [
+    ("density", {"n_y": "abc"}, "n_y must be a number"),
+    ("density", {"n_y": 0}, "n_y must be an integer >= 1"),
+    ("density", {"y_hi": float("inf")}, "y_hi must be finite"),
+    ("density", {"t": "soon"}, "t must be a number"),
+    ("density", {"measure": "MMM"}, "measure must be 'physical' or 'mmm'"),
+    ("density", {"ny": 3}, r"unknown density keys \['ny'\]"),
+    ("hedge", {"n_t": 0}, "n_t must be an integer >= 1"),
+    ("hedge", {"n_s": 1.5}, "n_s must be an integer >= 1"),
+    ("hedge", {"ns": 3}, r"unknown hedge keys \['ns'\]"),
+    ("represent", {"n_t": 2.7}, "n_t must be an integer >= 1"),
+    ("represent", {"n_x": -1}, "n_x must be an integer >= 1"),
+    ("represent", {"x_lo": float("nan")}, "x_lo must be finite"),
+    ("represent", {"theta_jumps": 0.2}, "theta_jumps must be a list"),
+    ("represent", {"theta_jumps": [0.1, "up"]}, "theta_jumps must be a number"),
+    ("represent", {"nt": 2}, r"unknown represent keys \['nt'\]"),
+], ids=["string-n_y", "zero-n_y", "inf-y_hi", "string-t", "measure-case", "misspelt-n_y",
+        "zero-n_t", "fractional-n_s", "misspelt-n_s", "fractional-n_t", "negative-n_x",
+        "nan-x_lo", "scalar-jumps", "string-jump", "misspelt-n_t"])
+def test_bad_represent_density_hedge_config_is_structured_error(tmp_path, capsys, block,
+                                                                 change, message):
+    cfg = dict(MERTON_CFG, **{block: change})
+    rc = main([block, "--config", _write(tmp_path, cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ParameterError" in err and re.search(message, err)
+
+
+def test_represent_density_hedge_accept_every_known_key(tmp_path):
+    cfg = dict(MERTON_CFG,
+               represent={"n_t": 2, "n_x": 3, "x_lo": -0.5, "x_hi": 0.5,
+                          "theta_jumps": [-0.1, 0.1, 0.3]},
+               density={"t": 0.1, "n_y": 4, "y_lo": -1.0, "y_hi": 1.0, "measure": "mmm"},
+               hedge={"n_t": 2, "n_s": 3})
+    out = tmp_path / "out"
+    common = ["--config", _write(tmp_path, cfg), "--out", str(out), "--format", "json"]
+    for command in ("represent", "density", "hedge"):
+        assert main([command, *common]) == 0
+    rep = json.loads((out / "represent.json").read_text())
+    assert len(rep["rows"]) == 6 and rep["rows"][-1][1] == 0.5
+    assert rep["columns"] == ["t", "x", "u", "theta_y-0.1", "theta_y0.1", "theta_y0.3"]
+    dens = json.loads((out / "density.json").read_text())
+    assert [row[0] for row in dens["rows"]] == pytest.approx([-1.0, -1 / 3, 1 / 3, 1.0])
+    # the measure key is honoured: the physical density differs
+    cfg["density"] = cfg["density"] | {"measure": "physical"}
+    assert main(["density", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "p"),
+                 "--format", "json"]) == 0
+    phys = json.loads((tmp_path / "p" / "density.json").read_text())
+    assert phys["rows"] != dens["rows"]
+    assert len(json.loads((out / "hedge.json").read_text())["rows"]) == 6
+
+
 def test_missing_strike_level_is_structured_error(tmp_path, capsys):
     cfg = dict(MERTON_CFG, payoff={"kind": "digital", "alpha": 1.0})
     rc = main(["check", "--config", _write(tmp_path, cfg)])

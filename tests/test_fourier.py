@@ -31,6 +31,7 @@ from levyrep import (
     jump_difference,
     pide_residual,
 )
+from levyrep import fourier
 
 T = 1.0
 
@@ -162,15 +163,82 @@ def test_digital_value_continuous_across_fallback(nig, grid):
     assert abs(vals[1] - vals[2]) < 0.05
 
 
+def _sign_inversion(model, tau, q):
+    """Reference for the fallback: P(X_T - X_t > q) =
+    1/2 + (1/pi) int_0^inf Im(e^{-ivq} phi(v)) / v dv as a direct complex sum
+    on one node set for all of q, its panels halved until the 16- and
+    24-point sums agree to 1e-9 (1 + |value|) at every point, clipped to
+    [0, 1]."""
+    q = np.atleast_1d(q)
+    env = lambda v: np.exp(tau * np.real(model.psi(v))) / np.maximum(v, 1.0)  # noqa: E731
+    v_max = fourier._auto_v_max(env, QuadratureGrid(tail_tol=1e-10, v_cap=1e8))
+    edges = fourier._panel_edges(v_max, float(np.max(np.abs(q))))
+
+    def value(order):
+        gx, gw = np.polynomial.legendre.leggauss(order)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        vs = (mid[:, None] + half[:, None] * gx).ravel()
+        ws = (half[:, None] * gw).ravel()
+        phi_w = np.exp(tau * model.psi(vs)) / vs * ws
+        return 0.5 + np.array([np.imag(np.exp(-1j * vs * qi) @ phi_w) for qi in q]) / math.pi
+
+    for _ in range(5):
+        lo, hi = value(16), value(24)
+        if np.all(np.abs(hi - lo) <= 1e-9 * (1.0 + np.abs(hi))):
+            return np.clip(hi, 0.0, 1.0)
+        edges = np.append(np.ravel(np.column_stack([edges[:-1], 0.5 * (edges[:-1] + edges[1:])])),
+                          edges[-1])
+    raise AssertionError("reference did not converge")
+
+
+def _counting_adapt(monkeypatch, kernel=None):
+    """Count fourier._adapt calls; ``kernel`` rewrites every weight vector
+    w(vs) the loop is given."""
+    calls = []
+    adapt = fourier._adapt
+
+    def counted(weighted, *rest):
+        calls.append(rest[-1])
+        if kernel is None:
+            return adapt(weighted, *rest)
+        return adapt(lambda vs, ws: [kernel(w, vs) for w in weighted(vs, ws)], *rest)
+
+    monkeypatch.setattr(fourier, "_adapt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tau", [1e-5, 1e-6])
+@pytest.mark.parametrize("xs", [np.array([0.04]), np.linspace(0.03, 0.07, 5),
+                                np.linspace(0.04, 0.06, 301)], ids=["1", "5", "301"])
+def test_fallback_matches_sign_inversion_reference(nig, grid, monkeypatch, tau, xs):
+    # one fallback table per call, whatever the number of points; the
+    # contour's own attempt raises TruncationError before it adapts
+    payoff = digital_payoff(0.05, alpha=1.0)
+    calls = _counting_adapt(monkeypatch)
+    got = conditional_value(nig, payoff, grid, T - tau, xs, T)
+    assert calls == ["near-maturity fallback"]
+    ref = _sign_inversion(nig, tau, 0.05 - xs)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_fallback_with_density_kernel_fails_the_reference(nig, grid, monkeypatch):
+    # negative control: phi in place of -i phi / v inverts the density
+    payoff = digital_payoff(0.05, alpha=1.0)
+    xs = np.linspace(0.03, 0.07, 5)
+    _counting_adapt(monkeypatch, kernel=lambda w, vs: w * 1j * vs)
+    got = conditional_value(nig, payoff, grid, T - 1e-5, xs, T)
+    assert np.max(np.abs(got - _sign_inversion(nig, 1e-5, 0.05 - xs))) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # configuration and domain errors
 
 
 def test_grid_validation():
     with pytest.raises(ParameterError):
-        QuadratureGrid(n_nodes=63)
-    g = grid_from_dict({"alpha": 1.5, "n_nodes": 128, "v_max": "auto"})
-    assert g.alpha == 1.5 and g.n_nodes == 128 and g.v_max is None
+        QuadratureGrid(tol=0.0)
+    g = grid_from_dict({"alpha": 1.5, "v_max": "auto"})
+    assert g.alpha == 1.5 and g.v_max is None
 
 
 def test_damping_outside_moment_strip(vg):
@@ -210,18 +278,25 @@ def test_digital_value_in_unit_interval_and_monotone(x, dx):
 def test_pointwise_operations_keep_array_shape(merton, nig, grid):
     payoff = digital_payoff(0.0, alpha=1.0)
     xs = np.array([[-0.5, 0.0, 0.5], [0.1, 0.2, 0.3]])
-    for op in (conditional_value, dF_dx):
+
+    def jump(model, payoff, grid, t, x, T):
+        return jump_difference(model, payoff, grid, t, x, 0.3, T)
+
+    for op in (conditional_value, dF_dx, jump):
         vals = op(merton, payoff, grid, 0.2, xs, T)
         assert vals.shape == xs.shape
         assert np.array_equal(vals.ravel(), op(merton, payoff, grid, 0.2, xs.ravel(), T))
         assert type(op(merton, payoff, grid, 0.2, 0.1, T)) is float
     assert density(merton, grid, 0.2, T, xs).shape == xs.shape
     assert conditional_value(merton, payoff, grid, T, xs, T).shape == xs.shape
-    # the near-maturity fallback evaluates point by point
+    # the near-maturity fallback builds one table for all the points
     near = digital_payoff(0.05, alpha=1.0)
     fb = conditional_value(nig, near, grid, T - 1e-5, xs[:, :2] / 100, T)
     assert fb.shape == (2, 2)
-    assert fb[1, 0] == conditional_value(nig, near, grid, T - 1e-5, xs[1, 0] / 100, T)
+    assert np.array_equal(fb.ravel(), conditional_value(nig, near, grid, T - 1e-5,
+                                                        xs[:, :2].ravel() / 100, T))
+    one = conditional_value(nig, near, grid, T - 1e-5, xs[1, 0] / 100, T)
+    assert type(one) is float and abs(one - fb[1, 0]) <= 1e-12
 
 
 def test_constant_payoff_needs_no_table(nig, grid):
@@ -238,12 +313,12 @@ def test_constant_payoff_needs_no_table(nig, grid):
     {"alpah": 2.0},                       # misspelt key
     {"rule": "gauss-legendre-panels"},    # removed knob
     {"tol": "abc"},
-    {"n_nodes": "many"},
+    {"n_nodes": 256},                     # removed knob
     {"alpha": None},
     {"tol": float("nan")},
     {"alpha": float("nan")},
     {"v_max": float("inf")},
-    {"n_nodes": float("inf")},
+    {"tol": float("inf")},
 ])
 def test_grid_from_dict_rejects_bad_config(spec):
     with pytest.raises(ParameterError):
@@ -251,7 +326,7 @@ def test_grid_from_dict_rejects_bad_config(spec):
 
 
 def test_grid_from_dict_accepts_every_known_key():
-    g = grid_from_dict({"alpha": 0.5, "v_max": 40, "n_nodes": 96, "tol": "1e-8"})
-    assert (g.alpha, g.v_max, g.n_nodes, g.tol) == (0.5, 40.0, 96, 1e-8)
+    g = grid_from_dict({"alpha": 0.5, "v_max": 40, "tol": "1e-8"})
+    assert (g.alpha, g.v_max, g.tol) == (0.5, 40.0, 1e-8)
     assert grid_from_dict({"v_max": None}).v_max is None
     assert grid_from_dict({}) == QuadratureGrid()

@@ -147,7 +147,7 @@ def test_kernel_matches_full_complex_sum(name, frac, xs, shape, block, many, see
     t = frac * T
     extra = np.random.default_rng(seed).uniform(-1.5, 1.5, many)
     x = _shaped(np.concatenate([xs, extra]), shape)
-    mults = [None, fourier._mult_dx, fourier._make_mult_jump(0.3)]
+    mults = [None, fourier._mult_dx, lambda zs: np.exp(-zs * 0.3) - 1.0]
     table = _recorded(make_multi_table, model, PAYOFF, GRID, t, T, mults, x_probe=x)
     ys = 4.0 * x
     dtable = _recorded(make_density_table, model, GRID, t, T, y_probe=ys)
@@ -297,7 +297,7 @@ def _route_points(vs, W, n, lo=-1.2, hi=0.9, seed=5):
 @pytest.mark.parametrize("shape", ["1-d", "(1, n)"])
 @pytest.mark.parametrize("block", [None, 7])
 def test_route_matches_full_sum_at_edges_nodes_and_repeats(name, shape, block):
-    mults = [None, fourier._mult_dx, fourier._make_mult_jump(0.3)]
+    mults = [None, fourier._mult_dx, lambda zs: np.exp(-zs * 0.3) - 1.0]
     table = _recorded(make_multi_table, TABLE_MODELS[name], PAYOFF, GRID, 0.5, T, mults,
                       x_probe=np.array([-1.2, 0.0, 0.9]))
     x = _shaped(_route_points(table._vs, table._W, 3000), shape)

@@ -8,6 +8,8 @@ import scipy.integrate as integrate
 from scipy.stats import norm
 
 from levyrep import (
+    MarketSpec,
+    NIGModel,
     build_mmm,
     conditional_value,
     digital_payoff,
@@ -18,6 +20,7 @@ from levyrep import (
     orthogonality_check,
     simulate,
 )
+from levyrep.fourier import truncated_nu_nodes
 from levyrep.hedging import fs_path_study, hedge_components_batch
 
 
@@ -144,3 +147,47 @@ def test_xi_scaling_shifts_bracket(merton_market, merton_transform, grid):
     b3 = fs_path_study(merton_market, merton_transform, grid, batch,
                        xi_scale=1.4)["bracket"]
     assert np.allclose(b3 - b2, b2 - b1, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# truncated Levy measure (the marks scheme)
+
+
+@pytest.fixture(scope="module")
+def nig_market():
+    nig = NIGModel(x0=0.0, mu=-0.25, sigma=0.0, a=3.0, b=-1.0, delta=1.0)
+    return MarketSpec(r=0.0, T=1.0, K=1.0, model=nig)
+
+
+def _brute_truncated_terms(market, transform, grid, t, xs, eps):
+    """Sums over the truncated nu-nodes of F*(x + y) - F*(x), times e^y - 1
+    and times 1, with F* from one conditional_value call on the star model."""
+    ys, wts = truncated_nu_nodes(market.model, eps)
+    payoff = digital_payoff(market.strike_level(), alpha=grid.alpha)
+    pts = np.concatenate([xs, np.add.outer(xs, ys).ravel()])
+    F = conditional_value(transform.star, payoff, grid, t, pts, market.T)
+    diff = F[xs.size:].reshape(xs.size, ys.size) - F[: xs.size, None]
+    return diff @ ((np.exp(ys) - 1.0) * wts), diff @ wts
+
+
+@pytest.mark.parametrize("t", [0.2, 0.5])
+def test_truncated_hedge_terms_match_brute_sums(nig_market, grid, t):
+    transform = build_mmm(nig_market)
+    xs = np.array([-0.2, 0.0, 0.15])
+    nu_ref, comp_ref = _brute_truncated_terms(nig_market, transform, grid, t, xs, 1e-2)
+    _, _, nu_int, psi_comp, _ = hedge_components_batch(
+        nig_market, transform, grid, t, xs, eps=1e-2, with_psi_compensator=True)
+    assert np.max(np.abs(nu_int - nu_ref)) <= 1e-8
+    assert np.max(np.abs(psi_comp - comp_ref)) <= 1e-8
+    # negative control: the full measure adds the jumps below eps
+    _, _, nu_full, _, _ = hedge_components_batch(nig_market, transform, grid, t, xs)
+    assert np.max(np.abs(nu_full - nu_ref)) > 1e-8
+
+
+def test_fs_path_study_runs_on_a_marks_batch(nig_market, grid):
+    transform = build_mmm(nig_market)
+    batch = simulate(nig_market.model, nig_market.T, 5, 20, seed=8, scheme="marks",
+                     eps_jump=1e-3)
+    study = fs_path_study(nig_market, transform, grid, batch)
+    assert study["n_paths"] == 20 and study["n_steps"] == 5
+    assert np.all(np.isfinite(study["l_fs"])) and np.all(np.isfinite(study["bracket"]))
