@@ -31,7 +31,9 @@ def config_count(key: str, value, block: str) -> int:
 
 def check_keys(block: str, spec: dict, known) -> None:
     """ParameterError naming the unknown keys of a config block and the
-    known ones."""
+    known ones; a block that is not a JSON object raises it too."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"{block} block must be a JSON object, got {spec!r}")
     unknown = sorted(set(spec) - set(known))
     if unknown:
         raise ParameterError(f"unknown {block} keys {unknown}; known: {sorted(known)}")

@@ -189,6 +189,7 @@ def test_bad_payoff_market_sim_config_is_structured_error(tmp_path, capsys, bloc
     ("hedge", {"n_t": 0}, "n_t must be an integer >= 1"),
     ("hedge", {"n_s": 1.5}, "n_s must be an integer >= 1"),
     ("hedge", {"ns": 3}, r"unknown hedge keys \['ns'\]"),
+    ("hedge", 5, "hedge block must be a JSON object"),
     ("represent", {"n_t": 2.7}, "n_t must be an integer >= 1"),
     ("represent", {"n_x": -1}, "n_x must be an integer >= 1"),
     ("represent", {"x_lo": float("nan")}, "x_lo must be finite"),
@@ -196,7 +197,7 @@ def test_bad_payoff_market_sim_config_is_structured_error(tmp_path, capsys, bloc
     ("represent", {"theta_jumps": [0.1, "up"]}, "theta_jumps must be a number"),
     ("represent", {"nt": 2}, r"unknown represent keys \['nt'\]"),
 ], ids=["string-n_y", "zero-n_y", "inf-y_hi", "string-t", "measure-case", "misspelt-n_y",
-        "zero-n_t", "fractional-n_s", "misspelt-n_s", "fractional-n_t", "negative-n_x",
+        "zero-n_t", "fractional-n_s", "misspelt-n_s", "scalar-block", "fractional-n_t", "negative-n_x",
         "nan-x_lo", "scalar-jumps", "string-jump", "misspelt-n_t"])
 def test_bad_represent_density_hedge_config_is_structured_error(tmp_path, capsys, block,
                                                                  change, message):
