@@ -61,7 +61,8 @@ def export(rev: str, dest: Path) -> str:
 
 def src_lines(checkout: Path) -> int:
     """Lines of the Python files under src/levyrep in a checkout."""
-    return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "levyrep").rglob("*.py"))
+    files = (checkout / "src" / "levyrep").rglob("*.py")
+    return sum(len(p.read_text().splitlines()) for p in files)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

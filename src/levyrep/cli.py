@@ -197,6 +197,8 @@ def _cmd_density(args, config: dict) -> int:
     dn = _block(config, "density", ["measure", "n_y", "t", "y_hi", "y_lo"])
     T = _horizon(config)
     t = config_number("t", dn.get("t", 0.0), "density")
+    if not 0.0 <= t < T:
+        raise ParameterError(f"density t must satisfy 0 <= t < T = {T:g}, got {t:g}")
     n_y = config_count("n_y", dn.get("n_y", 201), "density")
     y_lo = config_number("y_lo", dn.get("y_lo", -3.0), "density")
     y_hi = config_number("y_hi", dn.get("y_hi", 3.0), "density")

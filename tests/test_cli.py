@@ -184,6 +184,7 @@ def test_bad_payoff_market_sim_config_is_structured_error(tmp_path, capsys, bloc
     ("density", {"n_y": 0}, "n_y must be an integer >= 1"),
     ("density", {"y_hi": float("inf")}, "y_hi must be finite"),
     ("density", {"t": "soon"}, "t must be a number"),
+    ("density", {"t": -1.0}, "t must satisfy 0 <= t < T"),
     ("density", {"measure": "MMM"}, "measure must be 'physical' or 'mmm'"),
     ("density", {"ny": 3}, r"unknown density keys \['ny'\]"),
     ("hedge", {"n_t": 0}, "n_t must be an integer >= 1"),
@@ -196,9 +197,10 @@ def test_bad_payoff_market_sim_config_is_structured_error(tmp_path, capsys, bloc
     ("represent", {"theta_jumps": 0.2}, "theta_jumps must be a list"),
     ("represent", {"theta_jumps": [0.1, "up"]}, "theta_jumps must be a number"),
     ("represent", {"nt": 2}, r"unknown represent keys \['nt'\]"),
-], ids=["string-n_y", "zero-n_y", "inf-y_hi", "string-t", "measure-case", "misspelt-n_y",
-        "zero-n_t", "fractional-n_s", "misspelt-n_s", "scalar-block", "fractional-n_t", "negative-n_x",
-        "nan-x_lo", "scalar-jumps", "string-jump", "misspelt-n_t"])
+], ids=["string-n_y", "zero-n_y", "inf-y_hi", "string-t", "negative-t", "measure-case",
+        "misspelt-n_y", "zero-n_t", "fractional-n_s", "misspelt-n_s", "scalar-block",
+        "fractional-n_t", "negative-n_x", "nan-x_lo", "scalar-jumps", "string-jump",
+        "misspelt-n_t"])
 def test_bad_represent_density_hedge_config_is_structured_error(tmp_path, capsys, block,
                                                                  change, message):
     cfg = dict(MERTON_CFG, **{block: change})
