@@ -6,9 +6,12 @@ Everything here evaluates integrals of the form
 
 for multipliers m covering F, its x/t-derivatives and compensated jump
 integrals, plus the undamped transition density and near-maturity digital
-fallback.  Nodes are composite Gauss-Legendre panels, frequency-aware in the
-oscillation rate and refined until two quadrature orders agree; the
-truncation bound grows until the integrand envelope is negligible.
+fallback.  Every jump integral is written with one jump exponent J and mean
+m1, of nu or of its |y| >= eps part on the marks scheme
+(``truncated_jump_exponent``).  Nodes are composite Gauss-Legendre panels,
+frequency-aware in the oscillation rate and refined until two quadrature
+orders agree; the truncation bound grows until the integrand envelope is
+negligible.
 
 The nodes are symmetric in +/-v and every integrand is conjugate-symmetric,
 w(-v) = conj(w(v)), so each sum -- table evaluation and the convergence
@@ -54,6 +57,14 @@ from .payoffs import DampedPayoff
 IMAG_RESIDUAL_TOL = 1e-8
 BASE_PANELS = 8  # panels of [0, v_max] before the oscillation cap and refinement
 EVAL_BLOCK = 4_000_000  # trig-matrix entries per block of evaluation points
+
+# truncated jump exponent: Gauss-Legendre order per side of [-eps, eps], the
+# last power of the small-jump series, the largest |w| eps at which the
+# series is used and the largest phase |w| h of a panel of width h beyond it
+SMALL_JUMP_ORDER = 32
+SMALL_JUMP_TERMS = 20
+SMALL_JUMP_SERIES_MAX = 1.0
+SMALL_JUMP_PANEL_PHASE = 16.0
 
 # piecewise Chebyshev route of _half_sum: degree M per piece, the a-priori
 # interpolation bound and the strided check against the direct sum, both
@@ -457,17 +468,40 @@ def _mult_dxx(zs):
     return zs * zs
 
 
-def _make_mult_nu_plain(model):
-    """int (e^{-z_v y} - 1) nu(dy); needs finite-variation jumps."""
-    if not model.has_finite_variation_jumps:
+def _jump_pair(model, eps=None):
+    """(J, m1): the jump exponent J(w) = int (e^{iwy} - 1 - iwy) nu(dy) and
+    m1 = int y nu(dy), of nu itself or, when eps is given, of its |y| >= eps
+    part (``truncated_jump_exponent``)."""
+    if eps is None:
+        return model.jump_exponent, model.nu_mean()
+    return truncated_jump_exponent(model, eps)
+
+
+def _mult_nu(model, eps=None):
+    """int (e^{-z_v y} - 1) nu(dy) = J(i z_v) - z_v m1 over nu, or over
+    |y| >= eps; the full measure needs finite-variation jumps."""
+    if eps is None and not model.has_finite_variation_jumps:
         raise DomainError(
             "plain jump compensator diverges for infinite-variation jumps; "
             "use a truncated mark grid"
         )
-    m1 = model.nu_mean()
+    J, m1 = _jump_pair(model, eps)
 
     def mult(zs):
-        return model.jump_exponent(1j * zs) - zs * m1
+        return J(1j * zs) - zs * m1
+
+    return mult
+
+
+def _mult_nu_exp(model, eps=None):
+    """int (e^{-z_v y} - 1)(e^y - 1) nu(dy) = J(w - i) - J(w) - J(-i) at
+    w = i z_v, over nu or over |y| >= eps."""
+    J, _ = _jump_pair(model, eps)
+    j_mi = J(np.array(-1j))
+
+    def mult(zs):
+        w = 1j * zs
+        return J(w - 1j) - J(w) - j_mi
 
     return mult
 
@@ -497,25 +531,69 @@ def truncated_nu_nodes(model, eps: float, n_panels: int = 40, order: int = 10):
     return np.concatenate(ys_list), np.concatenate(ws_list)
 
 
-def make_mult_nu_truncated(model, eps: float, weight=None):
-    """Multiplier int_{|y| >= eps} (e^{-z_v y} - 1) w(y) nu(dy) as a function
-    of z_v, with optional extra weight w(y)."""
-    ys, wts = truncated_nu_nodes(model, eps)
-    if weight is not None:
-        wts = wts * weight(ys)
+def _small_jump_rule(model, eps: float, panels: int):
+    """Nodes on [-eps, eps] and their weights times nu: ``panels`` equal
+    Gauss-Legendre panels of SMALL_JUMP_ORDER nodes on each of [-eps, 0] and
+    [0, eps]."""
+    gx, gw = _gl_rule(SMALL_JUMP_ORDER)
+    h = eps / panels
+    ys = ((np.arange(panels) + 0.5)[:, None] * h + 0.5 * h * gx).ravel()
+    ws = np.tile(0.5 * h * gw, panels)
+    ys = np.concatenate([-ys[::-1], ys])
+    return ys, np.concatenate([ws[::-1], ws]) * model.levy_density(ys)
 
-    def mult(zs):
-        zs = np.asarray(zs, dtype=complex)
-        out = np.empty(zs.shape, dtype=complex)
-        chunk = max(1, int(4e6 // max(ys.size, 1)))
-        flat = zs.ravel()
-        oflat = out.ravel()
-        for i in range(0, flat.size, chunk):
-            ex = np.exp(np.multiply.outer(-flat[i : i + chunk], ys))
-            oflat[i : i + chunk] = (ex - 1.0) @ wts
-        return out
 
-    return mult
+@lru_cache(maxsize=32)
+def truncated_jump_exponent(model, eps: float):
+    """(J_eps, m1_eps) of nu restricted to |y| >= eps:
+    J_eps(w) = int_{|y| >= eps} (e^{iwy} - 1 - iwy) nu(dy), vectorized over
+    complex w, and m1_eps = int_{|y| >= eps} y nu(dy).
+
+    J_eps = J - S_eps with the model's own jump exponent J and the small-jump
+    part S_eps(w) = int_{|y| < eps} (e^{iwy} - 1 - iwy) nu(dy).  Where
+    |w| eps <= SMALL_JUMP_SERIES_MAX, S_eps is the series
+    sum_{k=2}^{SMALL_JUMP_TERMS} (iw)^k mu_k / k! in Horner form, with
+    mu_k = int_{|y| < eps} y^k nu(dy) from ``_small_jump_rule`` with one
+    panel per side (y^2 nu is bounded at 0).  Beyond, S_eps is the sum of
+    e^{iwy} - 1 - iwy over that rule with enough panels that none spans
+    more than SMALL_JUMP_PANEL_PHASE radians at the call's largest |w|.
+    m1_eps is the sum over ``truncated_nu_nodes``.  One build per
+    (model, eps); every model is a hashable frozen dataclass.
+    """
+    big_ys, big_wts = truncated_nu_nodes(model, eps)
+    m1 = float(big_ys @ big_wts)
+    ys, wts = _small_jump_rule(model, eps, 1)
+    k = np.arange(2, SMALL_JUMP_TERMS + 1)
+    coef = (ys ** k[:, None]) @ wts / np.array([math.factorial(j) for j in k])
+    rules = {1: (ys, wts)}
+
+    def small_jumps(w):
+        flat = np.atleast_1d(w).ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        near = np.abs(flat) * eps <= SMALL_JUMP_SERIES_MAX
+        iw = 1j * flat[near]
+        acc = np.full(iw.shape, coef[-1], dtype=complex)
+        for c in coef[-2::-1]:
+            acc = acc * iw + c
+        out[near] = acc * iw * iw
+        far = np.flatnonzero(~near)
+        if far.size:
+            panels = math.ceil(float(np.max(np.abs(flat[far]))) * eps / SMALL_JUMP_PANEL_PHASE)
+            if panels not in rules:
+                rules[panels] = _small_jump_rule(model, eps, panels)
+            rys, rwts = rules[panels]
+            step = max(1, EVAL_BLOCK // rys.size)
+            for i in range(0, far.size, step):
+                idx = far[i : i + step]
+                u = 1j * np.multiply.outer(flat[idx], rys)
+                out[idx] = (np.expm1(u) - u) @ rwts
+        return out.reshape(np.shape(w))
+
+    def J_eps(w):
+        w = np.asarray(w, dtype=complex)
+        return model.jump_exponent(w) - small_jumps(w)
+
+    return J_eps, m1
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +695,7 @@ def jump_compensator(model, payoff, grid, t, x, T):
     0 for a constant payoff whatever the jump variation."""
     if payoff.kind == "constant":
         return _full(x, 0.0)
-    (comp,), _ = _contour(model, payoff, grid, t, x, T, [_make_mult_nu_plain(model)])
+    (comp,), _ = _contour(model, payoff, grid, t, x, T, [_mult_nu(model)])
     return comp
 
 

@@ -11,7 +11,8 @@ Psi*_t(K, y) = F*(t, X_{t-} + y) - F*(t, X_{t-}), all star quantities taken
 under the minimal martingale measure.  The nu-integral collapses to a single
 contour quadrature through the multiplier J(w - i) - J(w) - J(-i) built from
 the physical jump exponent J, which handles the small-jump singularity in
-closed form.
+closed form; on a marks-scheme batch J is the exponent J_eps of the jumps
+with |y| >= eps (``fourier.truncated_jump_exponent``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .fourier import (
     QuadratureGrid,
     _contour,
     _full,
-    _make_mult_nu_plain,
     _mult_dx,
-    make_mult_nu_truncated,
+    _mult_nu,
+    _mult_nu_exp,
 )
 # perfbench/tracing.py wraps make_multi_table in this module by name, so the
 # name stays importable here although every table is built by _contour
@@ -63,29 +64,16 @@ class HedgeComponents:
 def _hedge_multipliers(market: MarketSpec, eps: float | None, with_comp: bool):
     """Contour multipliers for (F*, kappa, nu-integral, Psi*-compensator)
     under the star measure, up to the last one that exists (the compensator
-    only ``with_comp``); closed-form jump exponents when the full Levy measure
-    is used, truncated quadrature when the path scheme drops |y| < eps."""
+    only ``with_comp``, and over the full measure only for finite-variation
+    jumps).  The jump terms come from the physical jump exponent, of nu or
+    of its |y| >= eps part when the path scheme drops the smaller jumps."""
     model = market.model
     mults = [None, _mult_dx]
     if isinstance(model, BrownianModel):
         return mults
-
-    if eps is None:
-        j = model.jump_exponent
-        j_mi = j(np.array(-1j))
-
-        def mult_exp(zs):
-            w = 1j * zs
-            return j(w - 1j) - j(w) - j_mi
-
-        mults.append(mult_exp)
-        if with_comp and model.has_finite_variation_jumps:
-            mults.append(_make_mult_nu_plain(model))
-        return mults
-
-    mults.append(make_mult_nu_truncated(model, eps, weight=lambda y: np.exp(y) - 1.0))
-    if with_comp:
-        mults.append(make_mult_nu_truncated(model, eps))
+    mults.append(_mult_nu_exp(model, eps))
+    if with_comp and (eps is not None or model.has_finite_variation_jumps):
+        mults.append(_mult_nu(model, eps))
     return mults
 
 

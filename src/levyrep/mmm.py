@@ -24,7 +24,7 @@ from .errors import (
     InconclusiveError,
     ParameterError,
 )
-from .fourier import QuadratureGrid, density as _density, truncated_nu_nodes
+from .fourier import QuadratureGrid, _jump_pair, density as _density
 from .models import (
     BrownianModel,
     LevyModel,
@@ -195,13 +195,10 @@ def density_star(transform: MmmTransform, grid: QuadratureGrid, t: float, y):
 
 
 def exp_jump_mean(model: LevyModel, eps: float | None = None) -> float:
-    """int (e^y - 1) nu(dy), truncated to |y| >= eps when eps is given."""
-    if isinstance(model, BrownianModel):
-        return 0.0
-    if eps is None:
-        return model.exp_jump_cumulant(1.0) + model.nu_mean()
-    ys, wts = truncated_nu_nodes(model, eps)
-    return float((np.exp(ys) - 1.0) @ wts)
+    """int (e^y - 1) nu(dy) = J(-i) + m1, truncated to |y| >= eps when eps
+    is given (``fourier._jump_pair``)."""
+    J, m1 = _jump_pair(model, eps)
+    return float(np.real(J(np.array(-1j)))) + m1
 
 
 def mmm_log_density(transform: MmmTransform, batch: PathBatch,

@@ -23,9 +23,8 @@ from .fourier import (
     QuadratureGrid,
     _contour,
     _full,
-    _make_mult_nu_plain,
     _mult_dx,
-    make_mult_nu_truncated,
+    _mult_nu,
 )
 # perfbench/tracing.py wraps make_multi_table in this module by name, so the
 # name stays importable here although every table is built by _contour
@@ -79,10 +78,7 @@ class _Part:
         self._has_jumps = not isinstance(model, BrownianModel)
         self._mults = [None, _mult_dx]
         if self._has_jumps and self.kind not in ("constant", "polynomial"):
-            if nu_eps is not None:
-                self._mults.append(make_mult_nu_truncated(model, nu_eps))
-            else:
-                self._mults.append(_make_mult_nu_plain(model))
+            self._mults.append(_mult_nu(model, nu_eps))
 
     def evaluate(self, s, xs, n=3):
         """The first n of (F, dF_dx, nu_comp) at the points xs, zeros where

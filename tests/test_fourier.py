@@ -1,6 +1,7 @@
 """Contour-integral engine: Gaussian closed forms, brute quadrature and
 finite differences as oracles."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,14 +9,18 @@ import pytest
 import scipy.integrate as integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import k1e
 from scipy.stats import norm
 
 from levyrep import (
     BrownianModel,
     DomainError,
+    MarketSpec,
     MertonModel,
+    NIGModel,
     ParameterError,
     QuadratureGrid,
+    build_mmm,
     conditional_value,
     conditional_value_batch,
     constant_payoff,
@@ -228,6 +233,118 @@ def test_fallback_with_density_kernel_fails_the_reference(nig, grid, monkeypatch
     _counting_adapt(monkeypatch, kernel=lambda w, vs: w * 1j * vs)
     got = conditional_value(nig, payoff, grid, T - 1e-5, xs, T)
     assert np.max(np.abs(got - _sign_inversion(nig, 1e-5, 0.05 - xs))) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# truncated jump exponent (marks scheme)
+
+# contour nodes z = i v - 1: both sides of |w| eps = 1 for eps = 1e-2 (v = 99,
+# 101) and 1e-3 (v = 999, 1001), out to |w| eps ~ 126
+_TRUNC_V = np.array([0.5, 50.0, 99.0, 101.0, 500.0, 999.0, 1001.0, 1100.0, 5000.0, 12600.0])
+_TRUNC_ZS = 1j * _TRUNC_V - 1.0
+
+
+def _nu_reference(model):
+    """The Levy density from the model's parameters, with scipy's K1."""
+    if isinstance(model, NIGModel):
+        d, a, b = model.delta, model.a, model.b
+        return lambda y: d * a / math.pi * np.exp(b * y - a * np.abs(y)) * k1e(a * np.abs(y)) / np.abs(y)
+    if isinstance(model, MertonModel):
+        g, m, s = model.gamma, model.m, model.delta
+        return lambda y: g / (math.sqrt(2.0 * math.pi) * s) * np.exp(-((y - m) ** 2) / (2.0 * s * s))
+    base = _nu_reference(model.base)
+    return lambda y: (1.0 - model.load * np.expm1(y)) * base(y)
+
+
+def _dense_nu_rule(nu, eps, v):
+    """16-point Gauss-Legendre panels for integrals against nu on |y| >= eps:
+    geometric from eps to 1, unit width beyond, out to where
+    nu(y) e^{2 max(y, 0)} < 1e-17, each split to a width of at most 8 / v."""
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    ys, ws = [], []
+    for sgn in (-1.0, 1.0):
+        hi = 1.0
+        while nu(np.array(sgn * hi)) * math.exp(max(2.0 * sgn * hi, 0.0)) > 1e-17:
+            hi += 1.0
+        coarse = np.concatenate([np.geomspace(eps, 1.0, 301), np.arange(2.0, hi + 1.0)])
+        edges = np.concatenate([np.linspace(a, b, math.ceil((b - a) * v / 8.0) + 1)[:-1]
+                                for a, b in zip(coarse[:-1], coarse[1:])] + [coarse[-1:]])
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        y = sgn * (mid[:, None] + half[:, None] * gx).ravel()
+        ys.append(y)
+        ws.append((half[:, None] * gw).ravel() * nu(y))
+    return np.concatenate(ys), np.concatenate(ws)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_truncated_mults(model, eps):
+    """int_{|y| >= eps} (e^{-zy} - 1) nu(dy) and the same times e^y - 1 at
+    _TRUNC_ZS, by a dense rule per node and pairwise summation."""
+    nu = _nu_reference(model)
+    plain, weighted = [], []
+    for z in _TRUNC_ZS:
+        ys, ws = _dense_nu_rule(nu, eps, z.imag)
+        e = np.expm1(-z * ys) * ws
+        plain.append(e.sum())
+        weighted.append((e * np.expm1(ys)).sum())
+    return np.array(plain), np.array(weighted)
+
+
+def _misfit(got, ref):
+    """Largest error in units of 1e-10 max|ref|: the check passes at <= 1."""
+    return np.max(np.abs(got - ref)) / (1e-10 * np.max(np.abs(ref)))
+
+
+def _trunc_case(request, name, eps):
+    model = request.getfixturevalue(name) if name != "star_nig" else build_mmm(
+        MarketSpec(r=0.0, T=1.0, K=1.0, model=request.getfixturevalue("nig"))).star
+    return model, _dense_truncated_mults(model, eps)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+@pytest.mark.parametrize("name", ["nig", "merton", "star_nig"])
+def test_truncated_multipliers_match_dense_nu_rule(request, name, eps):
+    model, (plain_ref, weighted_ref) = _trunc_case(request, name, eps)
+    assert _misfit(fourier._mult_nu(model, eps)(_TRUNC_ZS), plain_ref) <= 1.0
+    assert _misfit(fourier._mult_nu_exp(model, eps)(_TRUNC_ZS), weighted_ref) <= 1.0
+    # negative control: the 800-node sum over |y| >= eps fails from v = 500 on
+    ys, wts = fourier.truncated_nu_nodes(model, eps)
+    high = _TRUNC_V >= 500.0
+    old = np.expm1(np.multiply.outer(-_TRUNC_ZS[high], ys)) @ wts
+    assert _misfit(old, plain_ref[high]) > 1.0
+
+
+def test_truncated_series_cut_short_fails_dense_nu_rule(request, monkeypatch):
+    # negative control: the series cut after k = 8 misses the k = 10 term,
+    # about 2e-5 at |w| eps = 1 (the k = 20 term is below 1e-16 of the sum,
+    # so no check in double precision sees it alone)
+    model, (plain_ref, _) = _trunc_case(request, "nig", 1e-3)
+    monkeypatch.setattr(fourier, "SMALL_JUMP_TERMS", 8)
+    fourier.truncated_jump_exponent.cache_clear()
+    try:
+        assert _misfit(fourier._mult_nu(model, 1e-3)(_TRUNC_ZS), plain_ref) > 1.0
+    finally:
+        fourier.truncated_jump_exponent.cache_clear()
+
+
+def test_truncated_exponent_matches_full_exponent_less_small_jumps(nig):
+    # J_eps(w) + S_eps(w) = J(w): S_eps from a fine rule on [-eps, eps], at
+    # nodes on both branches and at a scalar point
+    J, m1 = fourier.truncated_jump_exponent(nig, 1e-3)
+    nu = _nu_reference(nig)
+    gx, gw = np.polynomial.legendre.leggauss(40)
+    edges = np.concatenate([[0.0], np.geomspace(1e-15, 1e-3, 60)])
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    y = (mid[:, None] + half[:, None] * gx).ravel()
+    ys = np.concatenate([-y, y])
+    ws = np.tile((half[:, None] * gw).ravel(), 2) * nu(ys)
+    w = np.array([0.3 - 1j, 800.0 - 2j, 1500.0, -4000.0 - 1j])
+    u = 1j * np.multiply.outer(w, ys)
+    small = ((np.expm1(u) - u) * ws).sum(axis=1)
+    assert np.max(np.abs(J(w) + small - nig.jump_exponent(w))) <= 1e-12 * np.max(np.abs(small))
+    assert np.ndim(J(np.array(-1j))) == 0
+    # m1_eps = int y nu(dy) less the jumps below eps
+    assert abs(m1 - (nig.nu_mean() - ys @ ws)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

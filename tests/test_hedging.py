@@ -20,6 +20,7 @@ from levyrep import (
     orthogonality_check,
     simulate,
 )
+from levyrep import fourier
 from levyrep.fourier import truncated_nu_nodes
 from levyrep.hedging import fs_path_study, hedge_components_batch
 
@@ -191,3 +192,23 @@ def test_fs_path_study_runs_on_a_marks_batch(nig_market, grid):
     study = fs_path_study(nig_market, transform, grid, batch)
     assert study["n_paths"] == 20 and study["n_steps"] == 5
     assert np.all(np.isfinite(study["l_fs"])) and np.all(np.isfinite(study["bracket"]))
+
+
+def test_fs_path_study_builds_the_truncated_exponent_once(nig_market, grid, monkeypatch):
+    # one truncated_nu_nodes sum per (model, eps) for the whole study: the
+    # hedge's multipliers and the compensator mean share the cached build
+    transform = build_mmm(nig_market)
+    batch = simulate(nig_market.model, nig_market.T, 5, 20, seed=8, scheme="marks",
+                     eps_jump=1e-3)
+    calls = []
+    nodes = fourier.truncated_nu_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return nodes(*args, **kwargs)
+
+    monkeypatch.setattr(fourier, "truncated_nu_nodes", counted)
+    fourier.truncated_jump_exponent.cache_clear()
+    fs_path_study(nig_market, transform, grid, batch)
+    assert calls == [(nig_market.model, 1e-3)]
+    assert fourier.truncated_jump_exponent.cache_info().misses == 1
