@@ -468,7 +468,7 @@ def _mult_dxx(zs):
     return zs * zs
 
 
-def _jump_pair(model, eps=None):
+def _jump_pair(model, eps):
     """(J, m1): the jump exponent J(w) = int (e^{iwy} - 1 - iwy) nu(dy) and
     m1 = int y nu(dy), of nu itself or, when eps is given, of its |y| >= eps
     part (``truncated_jump_exponent``)."""
@@ -493,7 +493,7 @@ def _mult_nu(model, eps=None):
     return mult
 
 
-def _mult_nu_exp(model, eps=None):
+def _mult_nu_exp(model, eps):
     """int (e^{-z_v y} - 1)(e^y - 1) nu(dy) = J(w - i) - J(w) - J(-i) at
     w = i z_v, over nu or over |y| >= eps."""
     J, _ = _jump_pair(model, eps)

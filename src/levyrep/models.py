@@ -363,6 +363,10 @@ class CustomModel(LevyModel):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("pos_knots", "pos_logv", "neg_knots", "neg_logv"):
+            # tuples keep the model hashable: truncated builds are cached by it
+            table = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, tuple(table.tolist()))
         pos = _TableDensity(self.pos_knots, self.pos_logv) if len(self.pos_knots) else None
         neg = _TableDensity(self.neg_knots, self.neg_logv) if len(self.neg_knots) else None
         if pos is None and neg is None:

@@ -248,10 +248,11 @@ def _nu_reference(model):
     """The Levy density from the model's parameters, with scipy's K1."""
     if isinstance(model, NIGModel):
         d, a, b = model.delta, model.a, model.b
-        return lambda y: d * a / math.pi * np.exp(b * y - a * np.abs(y)) * k1e(a * np.abs(y)) / np.abs(y)
+        return lambda y: (d * a / math.pi * np.exp(b * y - a * np.abs(y))
+                          * k1e(a * np.abs(y)) / np.abs(y))
     if isinstance(model, MertonModel):
         g, m, s = model.gamma, model.m, model.delta
-        return lambda y: g / (math.sqrt(2.0 * math.pi) * s) * np.exp(-((y - m) ** 2) / (2.0 * s * s))
+        return lambda y: g / (math.sqrt(2.0 * math.pi) * s) * np.exp(-((y - m) ** 2) / (2 * s * s))
     base = _nu_reference(model.base)
     return lambda y: (1.0 - model.load * np.expm1(y)) * base(y)
 

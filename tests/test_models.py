@@ -126,6 +126,15 @@ def test_custom_model_matches_kou_closed_forms():
     assert lo == pytest.approx(-e2, rel=1e-12) and hi == pytest.approx(e1, rel=1e-12)
 
 
+def test_custom_model_from_arrays_is_hashable_and_equal():
+    # the truncated jump exponent is cached per (model, eps)
+    kou = _kou_custom()
+    arrays = CustomModel(x0=0.0, mu=0.0, sigma=0.1,
+                         **{k: np.array(getattr(kou, k)) for k in
+                            ("pos_knots", "pos_logv", "neg_knots", "neg_logv")})
+    assert arrays == kou and hash(arrays) == hash(kou)
+
+
 @pytest.mark.parametrize("name", ["merton", "vg", "nig"])
 def test_c2_vs_quadrature(models, name):
     model = models[name]
