@@ -1,8 +1,7 @@
 """Modified Bessel function of the second kind, order 1.
 
 Implemented in-repo so its accuracy is testable: ascending series below the
-crossover, a cosh-integral evaluated by trapezoidal rule above it.  The
-large-argument asymptotic form is kept as a separate helper for validation.
+crossover, a cosh-integral evaluated by trapezoidal rule above it.
 """
 
 from __future__ import annotations
@@ -84,10 +83,3 @@ def k1e(x):
         w[0] = w[-1] = h / 2.0
         out[~small] = vals @ w
     return float(out[0]) if scalar else out
-
-
-def k1_asymptotic(x):
-    """Leading asymptotic e^{-x} sqrt(pi/(2x)); used as a validation target
-    for large arguments, not in the evaluation path."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-x) * np.sqrt(np.pi / (2.0 * x))

@@ -13,9 +13,10 @@ frequency-aware in the oscillation rate and refined until two quadrature
 orders agree; the truncation bound grows until the integrand envelope is
 negligible.
 
-The nodes are symmetric in +/-v and every integrand is conjugate-symmetric,
-w(-v) = conj(w(v)), so each sum -- table evaluation and the convergence
-probes alike -- runs over the v > 0 half only, in real arithmetic:
+Every integrand is conjugate-symmetric, w(-v) = conj(w(v)), so a table
+holds the v > 0 half of its spectrum only, and each sum -- table
+evaluation and the convergence probes alike -- runs over that half in real
+arithmetic:
 
     (1/pi) e^{alpha x} sum_{v>0} [Re w cos(vx) + Im w sin(vx)]
 
@@ -25,9 +26,11 @@ direct sum at Chebyshev points, with an a-priori error bound at rounding
 level and a strided check against the direct sum (``_half_sum_cheb``);
 small point sets, and every call the route does not fit, take the direct
 sum (``_half_sum_direct``).  The symmetry itself is checked once, when
-``MultiTable`` or ``DensityTable`` is constructed from the full symmetric
-node set, so an asymmetric multiplier raises QuadratureError whatever the
-number of points later evaluated.
+``_adapt`` accepts a node set: every integrand is evaluated at the mirror
+-v of one node per 24-point panel, so an asymmetric multiplier raises
+QuadratureError whatever the number of points later evaluated.  An
+asymmetry confined to a band of v narrower than a panel can fall between
+the checked nodes and go unseen.
 
 One private evaluator, ``_contour``, builds every contour table: the public
 operations, the representation integrands, the hedge and the path drivers
@@ -51,7 +54,7 @@ import numpy as np
 
 from .config import check_keys
 from .errors import DomainError, ParameterError, QuadratureError, TruncationError
-from .models import BrownianModel, LevyModel
+from .models import BrownianModel, LevyModel, nu_tail_cutoff
 from .payoffs import DampedPayoff
 
 IMAG_RESIDUAL_TOL = 1e-8
@@ -147,8 +150,7 @@ def _split_edges(edges: np.ndarray, k: int) -> np.ndarray:
 
 
 def _nodes_weights(edges: np.ndarray, order: int):
-    """Nodes and weights on the positive-side panels ``edges``; the tables
-    mirror them to -v."""
+    """Nodes and weights on the positive-side panels ``edges``."""
     gx, gw = _gl_rule(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -182,28 +184,6 @@ def _stack(half_ws) -> np.ndarray:
     """[Re w; Im w] / pi with one column per integrand's v > 0 weights."""
     w = np.column_stack(half_ws)
     return np.concatenate([w.real, w.imag]) / math.pi
-
-
-def _positive_half(vs: np.ndarray, weights):
-    """v > 0 half of a symmetric node set and the stacked weights of every
-    integrand on it.  The half sum is exact only for conjugate-symmetric
-    weights, w(-v) = conj(w(v)); a weight vector whose asymmetry exceeds
-    IMAG_RESIDUAL_TOL of its l1 norm raises QuadratureError."""
-    h = vs.size // 2
-    if vs.size % 2 or not np.array_equal(vs[:h][::-1], -vs[h:]):
-        raise QuadratureError("quadrature nodes are not symmetric in +/-v")
-    half = []
-    for w in weights:
-        w = np.asarray(w, dtype=complex)
-        asym = float(np.sum(np.abs(w[:h][::-1] - np.conj(w[h:]))))
-        scale = float(np.sum(np.abs(w)))
-        if asym > IMAG_RESIDUAL_TOL * scale:
-            raise QuadratureError(
-                f"imaginary residual {asym / scale:.3g} exceeds tolerance: "
-                "weights are not conjugate-symmetric in v"
-            )
-        half.append(w[h:])
-    return vs[h:], _stack(half)
 
 
 def _half_sum(xs, vs: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
@@ -338,23 +318,26 @@ def _half_sum_cheb(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float):
 class MultiTable:
     """Several contour integrals sharing one adapted node set.
 
-    ``zs`` is the full symmetric node set z_v = i v - alpha and each entry of
-    ``base_ws`` holds weights x multiplier x transform x phi on it for one
-    integrand.  The constructor checks that every entry is conjugate-symmetric
-    and keeps the v > 0 half; ``eval_all(xs)`` computes the trig matrix of the
-    points once and applies every integrand's weights to it in one product
-    (``_half_sum``).
+    ``vs`` holds the v > 0 nodes of z_v = i v - alpha and ``W`` the stacked
+    weights x multiplier x transform x phi of every integrand on them
+    (``_stack``), as ``_adapt`` returns them.  ``eval_all(xs)`` computes the
+    trig matrix of the points once and applies every integrand's weights to
+    it in one product (``_half_sum``).
     """
 
-    def __init__(self, zs, base_ws, err_estimate):
-        self.zs = zs
+    def __init__(self, vs, W, alpha, err_estimate):
+        self.vs = vs
+        self.W = W
+        self.alpha = alpha
         self.err_estimate = err_estimate
-        self._alpha = -float(zs[0].real)
-        self._vs, self._W = _positive_half(zs.imag, base_ws)
+
+    @property
+    def zs(self):
+        return 1j * self.vs - self.alpha
 
     def eval_all(self, xs):
         xs = np.asarray(xs, dtype=float)
-        vals = _half_sum(xs, self._vs, self._W, self._alpha)
+        vals = _half_sum(xs, self.vs, self.W, self.alpha)
         if xs.ndim == 0:
             return [float(v) for v in vals[0]]
         return [col.reshape(xs.shape) for col in vals.T]
@@ -417,8 +400,8 @@ def make_multi_table(
         base = payoff.transform_contour(zs) * np.exp(tau * model.psi(1j * zs))
         return [(base if m is None else base * m(zs)) * ws for m in multipliers]
 
-    vs, ws, err = _adapt(weighted, _panel_edges(v_max, omega), x_probe, alpha, grid, "contour")
-    return MultiTable(1j * vs - alpha, ws, err)
+    vs, W, err = _adapt(weighted, _panel_edges(v_max, omega), x_probe, alpha, grid, "contour")
+    return MultiTable(vs, W, alpha, err)
 
 
 def _adapt(weighted, base_edges, probe, alpha, grid, what):
@@ -428,8 +411,15 @@ def _adapt(weighted, base_edges, probe, alpha, grid, what):
     and 24-point Gauss-Legendre sums of every integrand agree at every probe
     point, to ``grid.tol`` relative to 1 + |2pi value| (the scale of the
     unnormalised sum).  ``weighted(vs, ws)`` gives each integrand's weights
-    on nodes vs with quadrature weights ws.  Returns the full symmetric
-    24-point nodes, each integrand's weights on them and the probe error.
+    on nodes vs with quadrature weights ws.  Returns the v > 0 24-point
+    nodes, the stacked weights on them (``_stack``) and the probe error;
+    the node budget counts both halves of the spectrum.
+
+    The half sums are exact only for conjugate-symmetric weights,
+    w(-v) = conj(w(v)).  The accepted level is checked at the mirror of one
+    node per panel, the 12th of its 24: an integrand whose residual
+    sum |w(-v) - conj w(v)| over them exceeds IMAG_RESIDUAL_TOL of
+    sum (|w(-v)| + |w(v)|) raises QuadratureError.
     """
     prev = None
     for level in range(7):
@@ -440,16 +430,21 @@ def _adapt(weighted, base_edges, probe, alpha, grid, what):
         p_lo = _half_sum(probe, vs16, _stack(weighted(vs16, ws16)), alpha)
         vs24, ws24 = _nodes_weights(edges, 24)
         hi = weighted(vs24, ws24)
-        p_hi = _half_sum(probe, vs24, _stack(hi), alpha)
+        W = _stack(hi)
+        p_hi = _half_sum(probe, vs24, W, alpha)
         errs = np.max(np.abs(p_hi - p_lo), axis=0)
         scales = 1.0 + 2.0 * math.pi * np.max(np.abs(p_hi), axis=0)
         if np.all(errs <= grid.tol * scales):
-            neg = weighted(-vs24[::-1], ws24[::-1])
-            return (
-                np.concatenate([-vs24[::-1], vs24]),
-                [np.concatenate(pair) for pair in zip(neg, hi)],
-                float(np.max(errs)),
-            )
+            mid = slice(11, None, 24)
+            for neg, pos in zip(weighted(-vs24[mid], ws24[mid]), hi):
+                asym = float(np.sum(np.abs(neg - np.conj(pos[mid]))))
+                scale = float(np.sum(np.abs(neg) + np.abs(pos[mid])))
+                if asym > IMAG_RESIDUAL_TOL * scale:
+                    raise QuadratureError(
+                        f"imaginary residual {asym / scale:.3g} exceeds tolerance: "
+                        "weights are not conjugate-symmetric in v"
+                    )
+            return vs24, W, float(np.max(errs))
         prev = float(np.max(errs))
     raise QuadratureError(
         f"{what} quadrature did not converge (last probe error {prev:.3g})"
@@ -509,18 +504,12 @@ def _mult_nu_exp(model, eps):
 def truncated_nu_nodes(model, eps: float, n_panels: int = 40, order: int = 10):
     """Gauss-Legendre nodes/weights for integrals against nu on |y| >= eps;
     the weights already include the density."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
     gx, gw = np.polynomial.legendre.leggauss(order)
     ys_list, ws_list = [], []
     for sgn in (-1.0, 1.0):
-        hi = max(1.0, 4.0 * eps)
-        while hi < 1e4:
-            d = float(model.levy_density(np.array(sgn * hi)))
-            if d <= 0.0 or math.log(max(d, 1e-300)) < -50.0:
-                break
-            hi *= 2.0
-        edges = np.geomspace(eps, hi, n_panels + 1)
+        edges = np.geomspace(eps, nu_tail_cutoff(model, sgn, eps), n_panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         ys = sgn * (mid[:, None] + half[:, None] * gx[None, :]).ravel()
@@ -612,9 +601,9 @@ def _digital_tail(model, grid, t, T, q):
     v_max = _auto_v_max(lambda v: np.exp(tau * np.real(model.psi(v))) / np.maximum(v, 1.0), grid)
     probe = _probe(q)
     edges = _panel_edges(v_max, float(np.max(np.abs(probe))))
-    vs, ws, err = _adapt(lambda vs, ws: [-1j * np.exp(tau * model.psi(vs)) / vs * ws],
-                         edges, probe, 0.0, grid, "near-maturity fallback")
-    (p,) = MultiTable(1j * vs, ws, err).eval_all(q)
+    vs, W, err = _adapt(lambda vs, ws: [-1j * np.exp(tau * model.psi(vs)) / vs * ws],
+                        edges, probe, 0.0, grid, "near-maturity fallback")
+    (p,) = MultiTable(vs, W, 0.0, err).eval_all(q)
     return np.clip(0.5 + p, 0.0, 1.0)
 
 
@@ -722,21 +711,14 @@ dF_dx_batch = dF_dx
 # transition density
 
 
-class DensityTable:
-    """Real-axis inversion table: p_t(y) = (1/2pi) int e^{-ivy} phi(t, v) dv.
-
-    Built from the full symmetric nodes ``vs`` and weights phi x quadrature
-    weight; like MultiTable it checks conjugate symmetry and keeps the v > 0
-    half (``_half_sum`` with alpha = 0)."""
-
-    def __init__(self, vs, base_w, err_estimate):
-        self.vs = vs
-        self.err_estimate = err_estimate
-        self._v, self._W = _positive_half(vs, [base_w])
+class DensityTable(MultiTable):
+    """Real-axis inversion table: p_t(y) = (1/2pi) int e^{-ivy} phi(t, v) dv,
+    a MultiTable at alpha = 0 with the one integrand phi x quadrature
+    weight."""
 
     def eval(self, ys):
         ys = np.asarray(ys, dtype=float)
-        out = _half_sum(ys, self._v, self._W, 0.0)[:, 0]
+        out = _half_sum(ys, self.vs, self.W, 0.0)[:, 0]
         # clip tiny negative undershoot from truncation
         small = np.abs(out) < 1e-10
         out[small] = np.maximum(out[small], 0.0)
@@ -760,8 +742,8 @@ def make_density_table(model, grid, t, T, y_probe=None) -> DensityTable:
     def weighted(vs, ws):
         return [np.exp(tau * model.psi(vs)) * ws]
 
-    vs, (w,), err = _adapt(weighted, _panel_edges(v_max, omega), y_probe, 0.0, grid, "density")
-    return DensityTable(vs, w, err)
+    vs, W, err = _adapt(weighted, _panel_edges(v_max, omega), y_probe, 0.0, grid, "density")
+    return DensityTable(vs, W, 0.0, err)
 
 
 def density(model, grid, t, T, y):

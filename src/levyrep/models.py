@@ -661,38 +661,17 @@ def check_assumption1(model: LevyModel, alpha: float, t: float = 0.0,
     return Assumption1Check(bool(dc.ok), True, bool(dc.ok), alpha, dc.detail)
 
 
-def jump_exponent_quadrature(model: LevyModel, w: complex, split: float = SMALL_JUMP_SPLIT):
-    """Brute-force quadrature of int (e^{iwx} - 1 - iwx) nu(dx); the
-    independent oracle for the closed-form jump exponents."""
-    w = complex(w)
-    total = 0.0 + 0.0j
-    growth = abs(w.imag)
-    for sgn in (1.0, -1.0):
-        # finite cutoff where density * e^{|Im w| |x|} is negligible
-        cut = 2.0
-        while cut < 1e4:
-            d = float(model.levy_density(np.array(sgn * cut)))
-            if d <= 0.0 or math.log(d) + growth * cut < -45.0:
-                break
-            cut *= 2.0
-
-        def f(x, sgn=sgn):
-            x = sgn * x
-            d = float(model.levy_density(np.array(x)))
-            return (np.exp(1j * w * x) - 1.0 - 1j * w * x) * d
-
-        val, _ = integrate.quad(f, split, cut, complex_func=True, limit=400)
-        total += val
-    # small-|x| Taylor part
-    for sgn in (1.0, -1.0):
-        for k, coef in ((2, (1j * w) ** 2 / 2.0), (3, (1j * w) ** 3 / 6.0), (4, (1j * w) ** 4 / 24.0)):
-            mom, _ = integrate.quad(
-                lambda u, k=k: u**k * float(model.levy_density(np.array(sgn * u))),
-                0.0,
-                split,
-            )
-            total += coef * sgn**k * mom
-    return total
+def nu_tail_cutoff(model: LevyModel, sgn: float, eps: float) -> float:
+    """Where the sgn side of nu is cut for integrals over |y| >= eps: from
+    max(1, 4 eps), doubled until nu is 0 or its log is below -50 there, or
+    the cap 1e4 is reached."""
+    hi = max(1.0, 4.0 * eps)
+    while hi < 1e4:
+        d = float(model.levy_density(np.array(sgn * hi)))
+        if d <= 0.0 or math.log(max(d, 1e-300)) < -50.0:
+            break
+        hi *= 2.0
+    return hi
 
 
 def truncated_abs_moment(model: LevyModel, eps: float, hi: float = 1.0) -> float:

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
-from .errors import DomainError, ParameterError, QuadratureError
+from .errors import DomainError, ParameterError
 from .config import check_keys, config_number
 from .models import LevyModel
 
@@ -163,44 +162,6 @@ class PayoffDecomposition:
 def sqrt_abs_decomposition() -> PayoffDecomposition:
     """sqrt(|x|) = sqrt(max(x,0)) + sqrt(max(-x,0))."""
     return PayoffDecomposition(parts=((1, sqrt_plus_payoff()), (1, sqrt_minus_payoff())))
-
-
-def sqrt_parts_transform(part: str, x: float, z: complex) -> complex:
-    """ghat_+-(x, z) by damped numeric quadrature.
-
-    The endpoint singularity at y = -x is removed by the substitution
-    y = -x + u^2.  The closed-form Gamma expression in the payoff catalog is
-    the fast path; this op is the independent quadrature route.
-    """
-    z = complex(z)
-    if part == "+":
-        if z.imag <= 0.0:
-            raise DomainError("sqrt_plus transform needs Im(z) > 0")
-        s = 1j * z
-    elif part == "-":
-        if z.imag >= 0.0:
-            raise DomainError("sqrt_minus transform needs Im(z) < 0")
-        s = -1j * z
-    else:
-        raise ParameterError("part must be '+' or '-'")
-
-    # int_{-x}^inf e^{izy} sqrt(x+y) dy = e^{-izx} int_0^inf e^{izt} sqrt(t) dt
-    # -> substitute t = u^2:  2 int_0^inf u^2 e^{s u^2} du with Re(s) < 0.
-    decay = -s.real
-    cut = math.sqrt(80.0 / decay)
-
-    def g(u):
-        return 2.0 * u * u * np.exp(s * u * u)
-
-    val, err = integrate.quad(g, 0.0, cut, complex_func=True, limit=400)
-    if abs(err) > 1e-7 * (1.0 + abs(val)):
-        raise QuadratureError(f"sqrt transform quadrature error {err:g}")
-    return complex(np.exp(-1j * z * x) * val)
-
-
-def derivative_transform(part: str, x: float, z: complex) -> complex:
-    """ghat_{D+-}(x, z) = -iz ghat_{+-}(x, z)."""
-    return -1j * complex(z) * sqrt_parts_transform(part, x, z)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate
 
+from .config import config_count, config_number
 from .errors import ParameterError, SchemeError
 from .models import (
     BrownianModel,
@@ -29,6 +30,7 @@ from .models import (
     MertonModel,
     NIGModel,
     VGModel,
+    nu_tail_cutoff,
 )
 
 
@@ -164,21 +166,14 @@ def build_mark_table(model: LevyModel, eps: float, n_knots: int = 4000) -> MarkT
     """Tabulate the normalized CDF of nu restricted to |y| >= eps."""
     if isinstance(model, BrownianModel):
         raise SchemeError("mark scheme needs a jump component")
-    if eps <= 0:
-        raise ParameterError("eps_jump must be positive")
+    if not 0 < eps < math.inf:
+        raise ParameterError(f"eps_jump must be positive and finite, got {eps!r}")
 
     pieces = []
     rate = 0.0
     mean = 0.0
     for sgn in (-1.0, 1.0):
-        # find a cutoff where the density tail is negligible
-        hi = max(1.0, 4.0 * eps)
-        while hi < 1e4:
-            d = float(model.levy_density(np.array(sgn * hi)))
-            if d <= 0.0 or math.log(max(d, 1e-300)) < -50.0:
-                break
-            hi *= 2.0
-        ys = sgn * np.geomspace(eps, hi, n_knots)
+        ys = sgn * np.geomspace(eps, nu_tail_cutoff(model, sgn, eps), n_knots)
         dens = model.levy_density(ys)
         if not np.any(dens > 0):
             continue
@@ -322,8 +317,11 @@ def simulate(
     small jumps carry variance that a bare truncation would drop) and off for
     finite-activity ones.
     """
-    if T <= 0 or n_steps < 1 or n_paths < 1:
-        raise ParameterError("need T > 0, n_steps >= 1, n_paths >= 1")
+    T = config_number("T", T, "simulate")
+    if T <= 0:
+        raise ParameterError(f"simulate T must be positive, got {T!r}")
+    n_steps = config_count("n_steps", n_steps, "simulate")
+    n_paths = config_count("n_paths", n_paths, "simulate")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if scheme == "exact":
         if isinstance(model, MertonModel):

@@ -3,7 +3,8 @@
 import numpy as np
 import scipy.special as sp
 
-from levyrep.bessel import k1, k1_asymptotic, k1e
+from levyrep.bessel import k1, k1e
+from oracles import k1_asymptotic
 
 
 def test_k1_matches_scipy_across_regimes():

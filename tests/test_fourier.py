@@ -315,6 +315,12 @@ def test_truncated_multipliers_match_dense_nu_rule(request, name, eps):
     assert _misfit(old, plain_ref[high]) > 1.0
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_truncated_nu_nodes_reject_non_finite_eps(nig, eps):
+    with pytest.raises(ParameterError):
+        fourier.truncated_nu_nodes(nig, eps)
+
+
 def test_truncated_series_cut_short_fails_dense_nu_rule(request, monkeypatch):
     # negative control: the series cut after k = 8 misses the k = 10 term,
     # about 2e-5 at |w| eps = 1 (the k = 20 term is below 1e-16 of the sum,

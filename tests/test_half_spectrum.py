@@ -20,7 +20,7 @@ from levyrep import (
 )
 from levyrep import fourier
 from levyrep.errors import QuadratureError, TruncationError
-from levyrep.fourier import DensityTable, make_density_table, make_multi_table
+from levyrep.fourier import make_density_table, make_multi_table
 
 T = 1.0
 MERTON = MertonModel(x0=0.0, mu=-0.1, sigma=0.2, gamma=1.0, m=-0.1, delta=0.3)
@@ -40,25 +40,34 @@ def _asymmetric(zs):
     return 1j * np.ones_like(zs)
 
 
-class _RecordingMultiTable(fourier.MultiTable):
-    """Keeps the full symmetric weights the table was built from."""
-
-    def __init__(self, zs, base_ws, err_estimate):
-        super().__init__(zs, base_ws, err_estimate)
-        self.full_ws = [np.asarray(w) for w in base_ws]
-
-
-class _RecordingDensityTable(fourier.DensityTable):
-    def __init__(self, vs, base_w, err_estimate):
-        super().__init__(vs, base_w, err_estimate)
-        self.full_w = np.asarray(base_w)
-
-
 def _recorded(build, *args, **kwargs):
+    """The table of build(*args, **kwargs) with its full spectrum attached:
+    the symmetric nodes ``full_zs`` and each integrand's weights on them,
+    ``full_ws``.  The v < 0 weights come from the build's own ``weighted``
+    callable at the mirrored nodes, not from conjugating the v > 0 half."""
+    full = {}
+    adapt = fourier._adapt
+
+    def recording(weighted, *rest):
+        calls = []
+
+        def seen(vs, ws):
+            calls.append((vs, ws))
+            return weighted(vs, ws)
+
+        vs, W, err = adapt(seen, *rest)
+        ws = next(w for v, w in calls if v is vs)
+        full["vs"] = np.concatenate([-vs[::-1], vs])
+        neg, pos = weighted(-vs[::-1], ws[::-1]), weighted(vs, ws)
+        full["ws"] = [np.concatenate(pair) for pair in zip(neg, pos)]
+        return vs, W, err
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fourier, "MultiTable", _RecordingMultiTable)
-        mp.setattr(fourier, "DensityTable", _RecordingDensityTable)
-        return build(*args, **kwargs)
+        mp.setattr(fourier, "_adapt", recording)
+        table = build(*args, **kwargs)
+    table.full_zs = 1j * full["vs"] - table.alpha
+    table.full_ws = full["ws"]
+    return table
 
 
 def _full_contour_sum(zs, w, xs):
@@ -66,9 +75,10 @@ def _full_contour_sum(zs, w, xs):
     return np.real(np.exp(-np.multiply.outer(x, zs)) @ w) / (2.0 * math.pi)
 
 
-def _full_density_sum(vs, w, ys):
-    y = np.ravel(ys)
-    return np.real(np.exp(-1j * np.multiply.outer(y, vs)) @ w) / (2.0 * math.pi)
+def _full_density_sum(dtable, ys):
+    ref = _full_contour_sum(dtable.full_zs, dtable.full_ws[0], ys)
+    ref[np.abs(ref) < 1e-10] = np.maximum(ref[np.abs(ref) < 1e-10], 0.0)
+    return ref
 
 
 def _shaped(values, shape):
@@ -111,16 +121,44 @@ def test_asymmetric_density_weight_raises_at_any_point_count(n):
     ys = np.linspace(-3.0, 3.0, n)
     with pytest.raises(QuadratureError, match="imaginary residual"):
         make_density_table(_SkewedModel(), GRID, 0.2, T, y_probe=ys).eval(ys)
-    vs = make_density_table(MERTON, GRID, 0.2, T, y_probe=ys).vs
+    # Merton's density weights phi x quadrature weight, times 1 + 0.5i
+    adapt = fourier._adapt
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier, "_adapt", lambda weighted, *rest: adapt(
+            lambda vs, ws: [w * (1.0 + 0.5j) for w in weighted(vs, ws)], *rest))
+        with pytest.raises(QuadratureError, match="imaginary residual"):
+            make_density_table(MERTON, GRID, 0.2, T, y_probe=ys).eval(ys)
+
+
+@pytest.mark.parametrize("model, t", [(MERTON, 0.2), (NIG, 0.5)], ids=["merton", "nig"])
+def test_asymmetry_inside_one_band_of_v_raises(model, t):
+    """Negative control: a 0.1-radian phase on a band around v = 15, well
+    inside the spectrum (neither the first nor the last panel), must raise."""
+
+    def band_phase(zs):
+        return np.exp(0.1j * np.exp(-(((zs.imag - 15.0) / 2.0) ** 2)))
+
+    vs = make_multi_table(model, PAYOFF, GRID, t, T, [None]).vs
+    assert vs[23] < 15.0 - 8.0 and 15.0 + 8.0 < vs[-24]
     with pytest.raises(QuadratureError, match="imaginary residual"):
-        DensityTable(vs, np.exp(0.8 * MERTON.psi(vs)) * (1.0 + 0.5j), 0.0).eval(ys)
+        make_multi_table(model, PAYOFF, GRID, t, T, [None, band_phase])
+
+
+def test_mirrored_nodes_reach_psi_once_per_panel(monkeypatch):
+    points = []
+    psi = MertonModel.psi
+    monkeypatch.setattr(MertonModel, "psi", lambda self, w: points.append(w) or psi(self, w))
+    table = make_multi_table(MERTON, PAYOFF, GRID, 0.5, T, [None, fourier._mult_dx],
+                             x_probe=np.array([-0.5, 0.0, 0.5]))
+    # psi is called at w = i z_v = -v - i alpha, so the v < 0 nodes have Re w > 0
+    mirrored = sum(int(np.sum(np.real(w) > 0.0)) for w in points)
+    assert mirrored == table.vs.size // 24
 
 
 def test_symmetric_tables_pass_the_check():
     table = make_multi_table(MERTON, PAYOFF, GRID, 0.2, T, [None, fourier._mult_dx])
     assert len(table.eval_all(np.linspace(-1.0, 1.0, 5))) == 2
-    h = table.zs.size // 2
-    assert np.array_equal(table.zs[:h][::-1], np.conj(table.zs[h:]))
+    assert np.all(table.zs.imag > 0.0) and np.all(table.zs.real == -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +192,7 @@ def test_kernel_matches_full_complex_sum(name, frac, xs, shape, block, many, see
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             # block points per chunk, so multi-point inputs cross chunk boundaries
-            mp.setattr(fourier, "EVAL_BLOCK", block * table.zs.size)
+            mp.setattr(fourier, "EVAL_BLOCK", 2 * block * table.vs.size)
         outs = table.eval_all(x)
         dens = dtable.eval(ys)
     for out, w in zip(outs, table.full_ws):
@@ -162,9 +200,8 @@ def test_kernel_matches_full_complex_sum(name, frac, xs, shape, block, many, see
             assert isinstance(out, float)
         else:
             assert out.shape == x.shape
-        assert _close(out, _full_contour_sum(table.zs, w, x))
-    ref = _full_density_sum(dtable.vs, dtable.full_w, ys)
-    ref[np.abs(ref) < 1e-10] = np.maximum(ref[np.abs(ref) < 1e-10], 0.0)
+        assert _close(out, _full_contour_sum(table.full_zs, w, x))
+    ref = _full_density_sum(dtable, ys)
     if shape == "0-d":
         assert isinstance(dens, float)
     else:
@@ -174,10 +211,10 @@ def test_kernel_matches_full_complex_sum(name, frac, xs, shape, block, many, see
 
 def test_kernel_crosses_its_natural_chunk_boundary():
     table = _recorded(make_multi_table, NIG, PAYOFF, GRID, 0.9, T, [None, fourier._mult_dx])
-    step = fourier.EVAL_BLOCK // table.zs.size
+    step = fourier.EVAL_BLOCK // (2 * table.vs.size)
     xs = np.linspace(-1.0, 1.0, step + 7)
     for out, w in zip(table.eval_all(xs), table.full_ws):
-        assert _close(out, _full_contour_sum(table.zs, w, xs))
+        assert _close(out, _full_contour_sum(table.full_zs, w, xs))
 
 
 def test_density_star_keeps_the_input_shape():
@@ -300,8 +337,8 @@ def test_route_matches_full_sum_at_edges_nodes_and_repeats(name, shape, block):
     mults = [None, fourier._mult_dx, lambda zs: np.exp(-zs * 0.3) - 1.0]
     table = _recorded(make_multi_table, TABLE_MODELS[name], PAYOFF, GRID, 0.5, T, mults,
                       x_probe=np.array([-1.2, 0.0, 0.9]))
-    x = _shaped(_route_points(table._vs, table._W, 3000), shape)
-    assert fourier._half_sum_cheb(np.ravel(x), table._vs, table._W, table._alpha) is not None
+    x = _shaped(_route_points(table.vs, table.W, 3000), shape)
+    assert fourier._half_sum_cheb(np.ravel(x), table.vs, table.W, table.alpha) is not None
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             # block rows per route product, so the pieces cross blocks
@@ -309,18 +346,16 @@ def test_route_matches_full_sum_at_edges_nodes_and_repeats(name, shape, block):
         outs = table.eval_all(x)
     for out, w in zip(outs, table.full_ws):
         assert out.shape == x.shape
-        assert _close(out, _full_contour_sum(table.zs, w, x))
+        assert _close(out, _full_contour_sum(table.full_zs, w, x))
 
 
 @pytest.mark.parametrize("name", ["merton", "nig", "star_nig"])
 def test_route_matches_full_density_sum(name):
     dtable = _recorded(make_density_table, TABLE_MODELS[name], GRID, 0.0, T,
                        y_probe=np.array([-3.0, 0.0, 3.0]))
-    ys = _route_points(dtable._v, dtable._W, 6001, lo=-3.0, hi=3.0)
-    assert fourier._half_sum_cheb(ys, dtable._v, dtable._W, 0.0) is not None
-    ref = _full_density_sum(dtable.vs, dtable.full_w, ys)
-    ref[np.abs(ref) < 1e-10] = np.maximum(ref[np.abs(ref) < 1e-10], 0.0)
-    assert _close(dtable.eval(ys), ref)
+    ys = _route_points(dtable.vs, dtable.W, 6001, lo=-3.0, hi=3.0)
+    assert fourier._half_sum_cheb(ys, dtable.vs, dtable.W, 0.0) is not None
+    assert _close(dtable.eval(ys), _full_density_sum(dtable, ys))
 
 
 def _merton_table():
@@ -332,7 +367,7 @@ def test_route_switch_and_domain():
     """The direct sum at n <= SWITCH, for an all-equal input (L = 0), for
     non-finite points and when the pieces would need more than n / (4 (M+1))."""
     table = _merton_table()
-    vs, W, alpha = table._vs, table._W, table._alpha
+    vs, W, alpha = table.vs, table.W, table.alpha
 
     def direct(x):
         return fourier._half_sum_direct(np.ravel(x), vs, W, alpha)
@@ -416,7 +451,7 @@ def test_check_flags_a_broken_interpolant(monkeypatch):
     table = make_multi_table(NIG, PAYOFF, GRID, 0.8, T, [None, fourier._mult_dx],
                              x_probe=np.array([-1.5, 0.0, 1.5]))
     x = np.linspace(-1.5, 1.5, 2000)
-    args = (x, table._vs, table._W, table._alpha)
+    args = (x, table.vs, table.W, table.alpha)
     assert fourier._half_sum_cheb(*args) is not None
     with monkeypatch.context() as mp:
         bw = fourier._CHEB_BW.copy()

@@ -21,7 +21,7 @@ from levyrep import (
     psi_star,
     simulate,
 )
-from levyrep.models import jump_exponent_quadrature
+from oracles import jump_exponent_quadrature
 
 
 @pytest.fixture(scope="module")

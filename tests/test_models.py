@@ -22,9 +22,9 @@ from levyrep import (
 from levyrep.models import (
     CustomModel,
     characteristic_function,
-    jump_exponent_quadrature,
     truncated_abs_moment,
 )
+from oracles import jump_exponent_quadrature
 
 ALL = ["merton", "vg", "nig", "brownian"]
 

@@ -20,11 +20,8 @@ from levyrep import (
     sqrt_minus_payoff,
     sqrt_plus_payoff,
 )
-from levyrep.payoffs import (
-    derivative_transform,
-    raw_sqrt_abs_payoff,
-    sqrt_parts_transform,
-)
+from levyrep.payoffs import raw_sqrt_abs_payoff
+from oracles import derivative_transform, sqrt_parts_transform
 
 
 def _brute_transform(f, z, lo, hi):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from levyrep import (
     BrownianModel,
     MertonModel,
+    ParameterError,
     QuadratureGrid,
     SchemeError,
     build_integrands,
@@ -30,6 +31,11 @@ T = 1.0
 @pytest.fixture(scope="module")
 def merton_ints(merton, grid):
     return build_integrands(merton, digital_payoff(0.0, alpha=1.0), grid, T)
+
+
+def test_nan_nu_eps_is_rejected(nig, grid):
+    with pytest.raises(ParameterError):
+        build_integrands(nig, digital_payoff(0.0, alpha=1.0), grid, T, nu_eps=float("nan"))
 
 
 def test_u_is_sigma_times_dFdx(merton, grid, merton_ints):

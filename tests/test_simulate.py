@@ -8,6 +8,7 @@ from scipy.stats import kstest, norm
 
 from levyrep import (
     BrownianModel,
+    ParameterError,
     SchemeError,
     moments_from_psi,
     simulate,
@@ -74,10 +75,35 @@ def test_coarsen_preserves_noise(merton):
 
 
 def test_coarsen_rejects_bad_factor(merton):
-    from levyrep import ParameterError
     fine = simulate(merton, 1.0, 100, 10, seed=9)
     with pytest.raises(ParameterError):
         fine.coarsen(7)
+
+
+@pytest.mark.parametrize("T, n_steps, n_paths", [
+    (math.nan, 5, 3),
+    (math.inf, 5, 3),
+    (1.0, 2.5, 3),
+    (1.0, 5, 2.5),
+], ids=["nan-T", "inf-T", "fractional-steps", "fractional-paths"])
+def test_simulate_rejects_bad_horizon_and_counts(nig, T, n_steps, n_paths):
+    with pytest.raises(ParameterError):
+        simulate(nig, T, n_steps, n_paths, seed=1)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_marks_scheme_rejects_non_finite_eps(nig, eps):
+    with pytest.raises(ParameterError):
+        simulate(nig, 1.0, 5, 3, seed=1, scheme="marks", eps_jump=eps)
+    with pytest.raises(ParameterError):
+        build_mark_table(nig, eps)
+
+
+def test_numpy_integer_counts_are_accepted(nig):
+    a = simulate(nig, 1.0, np.int64(5), np.int64(3), seed=1, scheme="marks")
+    b = simulate(nig, 1.0, 5, 3, seed=1, scheme="marks")
+    assert (a.n_steps, a.n_paths) == (5, 3)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.jump_size, b.jump_size)
 
 
 def test_unknown_scheme_rejected(merton):
