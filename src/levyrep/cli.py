@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < args.tol < math.inf:
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return 2
     try:
         config = _load_config(args.config)

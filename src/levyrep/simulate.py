@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -41,8 +42,9 @@ class PathBatch:
     ``x`` holds the state at the grid times; ``dW`` and ``dB`` are the
     Brownian and small-jump-Gaussian increments per step (already scaled by
     sqrt(dt) but not by volatility).  Jumps are stored flat, sorted by time
-    (so also by step, and in time order within each path): ``jump_path``,
-    ``jump_step``, ``jump_time``, ``jump_size``.  ``steps()`` walks the grid
+    (so also by step, and in time order within each path), with exact ties
+    in time kept in draw order: ``jump_path``, ``jump_step``, ``jump_time``,
+    ``jump_size``.  ``steps()`` walks the grid
     with each step's jumps as slices of that layout; ``select(p)`` is the
     one-path batch of path p.
     """
@@ -118,6 +120,36 @@ class PathBatch:
         )
 
 
+def _packed_order(jt, T):
+    """One in-place uint64 sort of the keys (fixed-point jt/T in the high
+    bits, draw index in the low b bits).  Returns the draw order it gives and
+    the sorted keys with the index bits cleared (the kept time prefixes);
+    draws whose times share a prefix come out in index order."""
+    b = (jt.size - 1).bit_length()
+    mask = np.uint64((1 << b) - 1)
+    key = (jt * (2.0**63 / T)).astype(np.uint64)
+    key &= ~mask
+    key |= np.arange(jt.size, dtype=np.uint64)
+    key.sort()
+    order = (key & mask).view(np.intp)
+    key &= ~mask
+    return order, key
+
+
+def _time_order(jt, T):
+    """``np.argsort(jt, kind="stable")`` for times in [0, T]: the packed-key
+    sort, then the runs of equal prefixes re-ordered by (jt, index).  A
+    prefix only grows with jt, so one stable sort by jt over all those
+    positions leaves every run in place, and each run is in index order."""
+    order, prefix = _packed_order(jt, T)
+    tie = np.flatnonzero(prefix[1:] == prefix[:-1])
+    if tie.size:
+        pos = np.union1d(tie, tie + 1)
+        idx = order[pos]
+        order[pos] = idx[np.argsort(jt[idx], kind="stable")]
+    return order
+
+
 def _compound_poisson(rng, rate, n_paths, T, sampler):
     """Draw jump counts, times and sizes for a homogeneous compound Poisson
     process observed on [0, T] for each path, sorted by time."""
@@ -126,7 +158,7 @@ def _compound_poisson(rng, rate, n_paths, T, sampler):
     jp = np.repeat(np.arange(n_paths), counts)
     jt = rng.uniform(0.0, T, total)
     jsize = sampler(total)
-    order = np.argsort(jt)
+    order = _time_order(jt, T)
     return jp[order], jt[order], jsize[order]
 
 
@@ -135,7 +167,7 @@ def _accumulate(x0, drift_dt, sigma, dW, small_sigma, dB, n_steps, jp, jstep, js
     n_paths = dW.shape[0]
     inc = drift_dt + sigma * dW + small_sigma * dB
     if jsize.size:
-        np.add.at(inc, (jp, jstep), jsize)
+        np.add.at(inc.reshape(-1, copy=False), jp * n_steps + jstep, jsize)
     x = np.empty((n_paths, n_steps + 1))
     x[:, 0] = x0
     np.cumsum(inc, axis=1, out=x[:, 1:])
@@ -149,7 +181,13 @@ def _accumulate(x0, drift_dt, sigma, dW, small_sigma, dB, n_steps, jp, jstep, js
 
 @dataclass(frozen=True)
 class MarkTable:
-    """Inverse-CDF sampler and truncated moments for jumps |y| >= eps."""
+    """Inverse-CDF sampler and truncated moments for jumps |y| >= eps.
+
+    ``slopes[j]`` is the slope of knot interval j as ``np.interp`` computes
+    it (0 past the last knot) and ``u_next[j]`` its right end (inf past the
+    last knot).  ``guide[g]`` is a knot index at or below every u in bucket
+    g = floor(u * (guide.size - 1)) of [0, 1]: indexed search (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, III.2.4)."""
 
     eps: float
     rate: float           # nu(|y| >= eps)
@@ -157,13 +195,32 @@ class MarkTable:
     small_var: float      # int_{|y| < eps} y^2 nu(dy)
     u_grid: np.ndarray
     y_grid: np.ndarray
+    slopes: np.ndarray
+    u_next: np.ndarray
+    guide: np.ndarray
+
+    def inverse_cdf(self, u):
+        """``np.interp(u, u_grid, y_grid)`` bit for bit, for a 1-D array of
+        u >= u_grid[0] = 0: the guide gives each u its knot interval, and
+        the draws for which it falls short take a binary search.  Blocks of
+        2**15 draws keep the temporaries in cache."""
+        y = np.empty_like(u)
+        for start in range(0, u.size, 1 << 15):
+            b = u[start : start + (1 << 15)]
+            j = self.guide[(b * (self.guide.size - 1)).astype(np.intp)]
+            short = np.flatnonzero(self.u_next[j] <= b)
+            j[short] = np.searchsorted(self.u_grid, b[short], side="right") - 1
+            y[start : start + b.size] = self.slopes[j] * (b - self.u_grid[j]) + self.y_grid[j]
+        return y
 
     def sample(self, rng, n):
-        return np.interp(rng.uniform(0.0, 1.0, n), self.u_grid, self.y_grid)
+        return self.inverse_cdf(rng.uniform(0.0, 1.0, n))
 
 
+@lru_cache(maxsize=32)
 def build_mark_table(model: LevyModel, eps: float, n_knots: int = 4000) -> MarkTable:
-    """Tabulate the normalized CDF of nu restricted to |y| >= eps."""
+    """Tabulate the normalized CDF of nu restricted to |y| >= eps.  Cached
+    per (model, eps, n_knots); the table's arrays are read-only."""
     if isinstance(model, BrownianModel):
         raise SchemeError("mark scheme needs a jump component")
     if not 0 < eps < math.inf:
@@ -206,7 +263,19 @@ def build_mark_table(model: LevyModel, eps: float, n_knots: int = 4000) -> MarkT
             lambda u: u * u * float(model.levy_density(np.array(sgn * u))), 0.0, eps
         )
         small_var += val
-    return MarkTable(eps, float(rate), float(mean), float(small_var), u_grid, y_grid)
+
+    slopes = np.append(np.diff(y_grid) / np.diff(u_grid), 0.0)
+    u_next = np.append(u_grid[1:], np.inf)
+    n_buckets = 16 * u_grid.size
+    # knots with bucket < g lie below every u of bucket g, as the bucket map
+    # is monotone; u_grid[0] = 0 covers the buckets before the first of them
+    bucket = (u_grid * n_buckets).astype(np.intp)
+    guide = np.searchsorted(bucket, np.arange(n_buckets + 1)) - 1
+    np.maximum(guide, 0, out=guide)
+    arrays = (u_grid, y_grid, slopes, u_next, guide)
+    for a in arrays:
+        a.flags.writeable = False
+    return MarkTable(eps, float(rate), float(mean), float(small_var), *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +391,8 @@ def simulate(
         raise ParameterError(f"simulate T must be positive, got {T!r}")
     n_steps = config_count("n_steps", n_steps, "simulate")
     n_paths = config_count("n_paths", n_paths, "simulate")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"simulate seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if scheme == "exact":
         if isinstance(model, MertonModel):

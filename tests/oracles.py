@@ -1,6 +1,7 @@
-"""Independent quadrature oracles that the tests compare the package's closed
-forms against: the jump exponent, the square-root payoff transforms and the
-large-argument form of K1."""
+"""Independent oracles that the tests compare the package against: quadrature
+for the closed-form jump exponent and square-root payoff transforms, the
+large-argument form of K1, and path simulation by plain argsort, np.interp
+and a 2-D np.add.at."""
 
 import math
 
@@ -8,7 +9,8 @@ import numpy as np
 from scipy import integrate
 
 from levyrep.errors import DomainError, ParameterError, QuadratureError
-from levyrep.models import SMALL_JUMP_SPLIT
+from levyrep.models import SMALL_JUMP_SPLIT, MertonModel
+from levyrep.simulate import build_mark_table
 
 
 def jump_exponent_quadrature(model, w: complex, split: float = SMALL_JUMP_SPLIT):
@@ -88,3 +90,51 @@ def k1_asymptotic(x):
     at large arguments."""
     x = np.asarray(x, dtype=float)
     return np.exp(-x) * np.sqrt(np.pi / (2.0 * x))
+
+
+def simulate_reference(model, T, n_steps, n_paths, seed, scheme="exact", eps_jump=1e-3,
+                       gauss_correction=None):
+    """The Merton exact and marks schemes of ``simulate`` with the same random
+    stream and draw order, sorting the jump times with ``np.argsort``,
+    drawing marks with ``np.interp`` on the mark table's knots and binning
+    jumps with a 2-D ``np.add.at``.  Returns (x, dW, dB, jump_path,
+    jump_step, jump_time, jump_size)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    dt = T / n_steps
+    dW = rng.standard_normal((n_paths, n_steps)) * math.sqrt(dt)
+    if scheme == "exact":
+        assert isinstance(model, MertonModel)
+        rate, gauss_correction, small_sigma = model.gamma, False, 0.0
+
+        def marks(n):
+            return rng.normal(model.m, model.delta, n)
+
+        drift = (model.mu - model.gamma * model.m) * dt
+    else:
+        table = build_mark_table(model, eps_jump)
+        rate = table.rate
+        if gauss_correction is None:
+            gauss_correction = not model.has_finite_variation_jumps
+        small_sigma = math.sqrt(table.small_var) if gauss_correction else 0.0
+
+        def marks(n):
+            return np.interp(rng.uniform(0.0, 1.0, n), table.u_grid, table.y_grid)
+
+        drift = (model.mu - table.mean) * dt
+    counts = rng.poisson(rate * T, n_paths)
+    total = int(counts.sum())
+    jp = np.repeat(np.arange(n_paths), counts)
+    jt = rng.uniform(0.0, T, total)
+    jsize = marks(total)
+    order = np.argsort(jt)
+    jp, jt, jsize = jp[order], jt[order], jsize[order]
+    jstep = np.minimum((jt / dt).astype(int), n_steps - 1)
+    dB = (rng.standard_normal((n_paths, n_steps)) * math.sqrt(dt) if gauss_correction
+          else np.zeros_like(dW))
+    inc = drift + model.sigma * dW + small_sigma * dB
+    np.add.at(inc, (jp, jstep), jsize)
+    x = np.empty((n_paths, n_steps + 1))
+    x[:, 0] = model.x0
+    np.cumsum(inc, axis=1, out=x[:, 1:])
+    x[:, 1:] += model.x0
+    return x, dW, dB, jp, jstep, jt, jsize

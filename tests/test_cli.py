@@ -265,6 +265,22 @@ def test_nonpositive_tol_rejected(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_rejected(tmp_path, capsys, tol):
+    # a NaN tol made verify-replication fail on every run, an infinite one pass
+    rc = main(["verify-replication", "--config", _write(tmp_path, MERTON_CFG),
+               "--paths", "50", "--steps", "10", "--tol", tol])
+    assert rc == 2
+    assert "--tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_negative_seed_is_structured_error(tmp_path, capsys):
+    rc = main(["verify-replication", "--config", _write(tmp_path, MERTON_CFG),
+               "--paths", "50", "--steps", "10", "--seed", "-1"])
+    assert rc == 2
+    assert "ParameterError" in capsys.readouterr().err
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_config_hash_stable_under_key_order(seed):

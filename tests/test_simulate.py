@@ -106,6 +106,18 @@ def test_numpy_integer_counts_are_accepted(nig):
     assert np.array_equal(a.x, b.x) and np.array_equal(a.jump_size, b.jump_size)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None], ids=["negative", "float", "str", "none"])
+def test_simulate_rejects_bad_seed(merton, seed):
+    with pytest.raises(ParameterError, match="seed"):
+        simulate(merton, 1.0, 5, 3, seed=seed)
+
+
+def test_numpy_integer_seed_is_accepted(merton):
+    a = simulate(merton, 1.0, 5, 3, seed=np.uint32(4))
+    b = simulate(merton, 1.0, 5, 3, seed=4)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.jump_size, b.jump_size)
+
+
 def test_unknown_scheme_rejected(merton):
     with pytest.raises(SchemeError):
         simulate(merton, 1.0, 10, 10, scheme="euler")
