@@ -25,7 +25,15 @@ band-limited in x, so a large point set is interpolated piecewise from the
 direct sum at Chebyshev points, with an a-priori error bound at rounding
 level and a strided check against the direct sum (``_half_sum_cheb``);
 small point sets, and every call the route does not fit, take the direct
-sum (``_half_sum_direct``).  The symmetry itself is checked once, when
+sum.  A direct sum over few points (the probes, pointwise calls) takes a
+cos and a sin per point and node (``_half_sum_direct``).  Past a measured
+crossover in points x nodes, a table folds its weights once for angle
+addition, e^{ivx} = e^{i m x} e^{i h g x} for node v = m + h g of a panel
+with midpoint m and half-width h, and its direct sums, the Chebyshev
+route's included, take one cos-sin pair per panel plus one per node of
+each distinct panel width (``_Fold``).  A table's sums at the probe points
+that accepted it are kept and reused when it is evaluated there
+(``MultiTable.half_sum``).  The symmetry itself is checked once, when
 ``_adapt`` accepts a node set: every integrand is evaluated at the mirror
 -v of one node per 24-point panel, so an asymmetric multiplier raises
 QuadratureError whatever the number of points later evaluated.  An
@@ -81,6 +89,13 @@ CHEB_CHECK_POINTS = 32
 _CHEB_T = np.sin(0.5 * math.pi * np.arange(CHEB_DEGREE, -CHEB_DEGREE - 1, -2) / CHEB_DEGREE)
 _CHEB_BW = (-1.0) ** np.arange(CHEB_DEGREE + 1)
 _CHEB_BW[[0, -1]] *= 0.5
+
+# contour and fallback tables are tuned at these quantiles of their points
+_PROBE_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+# a table builds its angle-addition fold (``_Fold``) at its first sum over
+# more points than a probe has (``_probe``) and FOLD_POINT_NODES or more
+# points x nodes, the measured crossover; smaller sums go node by node
+FOLD_POINT_NODES = 6000
 
 
 @dataclass(frozen=True)
@@ -149,11 +164,10 @@ def _split_edges(edges: np.ndarray, k: int) -> np.ndarray:
     return np.append(np.concatenate(pieces), edges[-1])
 
 
-def _nodes_weights(edges: np.ndarray, order: int):
-    """Nodes and weights on the positive-side panels ``edges``."""
+def _nodes_weights(mid: np.ndarray, half: np.ndarray, order: int):
+    """Nodes and weights of the order-point rule on the panels with
+    midpoints ``mid`` and half-widths ``half``."""
     gx, gw = _gl_rule(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
     vs = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     ws = (half[:, None] * gw[None, :]).ravel()
     return vs, ws
@@ -186,20 +200,28 @@ def _stack(half_ws) -> np.ndarray:
     return np.concatenate([w.real, w.imag]) / math.pi
 
 
-def _half_sum(xs, vs: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
+def _half_sum(xs, vs: np.ndarray, W: np.ndarray, alpha: float, fold=None) -> np.ndarray:
     """(1/pi) e^{alpha x} sum_{v>0} [Re w cos(vx) + Im w sin(vx)] at every
     point of xs (flattened) for every column of W = _stack(...): the real
     part of the full symmetric sum (1/2pi) sum_v w e^{-(iv - alpha) x}.
 
     Large finite point sets are interpolated piecewise from the sum at
     Chebyshev points (``_half_sum_cheb``); the rest, and any call whose
-    interpolant fails its check, take the direct sum."""
+    interpolant fails its check, take the direct sum.  Every direct sum,
+    the route's included, runs through ``fold`` (a ``_Fold`` of W) when one
+    is given and over the nodes one by one otherwise."""
     x = np.ravel(xs)
     if x.size > 8 * (CHEB_DEGREE + 1) and np.all(np.isfinite(x)):
-        out = _half_sum_cheb(x, vs, W, alpha)
+        out = _half_sum_cheb(x, vs, W, alpha, fold)
         if out is not None:
             return out
-    return _half_sum_direct(x, vs, W, alpha)
+    return _direct_sum(x, vs, W, alpha, fold)
+
+
+def _direct_sum(x, vs, W, alpha, fold):
+    if fold is None:
+        return _half_sum_direct(x, vs, W, alpha)
+    return fold.sum(x, alpha)
 
 
 def _half_sum_direct(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
@@ -219,6 +241,73 @@ def _half_sum_direct(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float)
         if alpha:
             ob *= np.exp(alpha * xb)[:, None]
     return out
+
+
+class _Fold:
+    """The weights of a half sum in angle-addition form.
+
+    Node j of panel p is v = m_p + h_p g_j, and the Gauss-Legendre rule is
+    symmetric, g_{k-1-j} = -g_j.  With a = Re w / pi, b = Im w / pi,
+    j' = k-1-j and c_j = cos(h_p g_j x), s_j = sin(h_p g_j x) for j < k/2,
+    the k terms of panel p sum to
+
+        cos(m_p x) sum_j [(a_j + a_j') c_j + (b_j - b_j') s_j]
+      + sin(m_p x) sum_j [(b_j + b_j') c_j - (a_j - a_j') s_j].
+
+    Panels of exactly equal h_p (a run at the width cap, the pieces of one
+    split panel) share c_j and s_j, so a point costs P + (k/2) G cos-sin
+    pairs instead of k P, for P panels of G distinct widths.  The panels
+    are sorted by width; ``F`` holds the bracketed weights with one row per
+    entry of [c | s] and one column per (panel, cos or sin, column of W),
+    and ``bounds`` the columns of each width's panels."""
+
+    def __init__(self, mid: np.ndarray, half: np.ndarray, W: np.ndarray):
+        P, C = mid.size, W.shape[1]
+        k = W.shape[0] // (2 * P)
+        j = k // 2
+        order = np.argsort(half, kind="stable")
+        hs = half[order]
+        new = np.ones(P + 1, dtype=bool)
+        np.not_equal(hs[1:], hs[:-1], out=new[1:P])
+        self.bounds = np.flatnonzero(new) * (2 * C)
+        self.offsets = hs[new[:P], None] * _gl_rule(k)[0][:j]
+        self.mid = mid[order]
+        a, b = W.reshape(2, P, k, C)[:, order].transpose(0, 2, 1, 3)
+        F = np.empty((k, P, 2, C))
+        np.add(a[:j], a[: j - 1 : -1], out=F[:j, :, 0])
+        np.subtract(b[:j], b[: j - 1 : -1], out=F[j:, :, 0])
+        np.add(b[:j], b[: j - 1 : -1], out=F[:j, :, 1])
+        np.subtract(a[: j - 1 : -1], a[:j], out=F[j:, :, 1])
+        self.F = F.reshape(k, -1)
+
+    def sum(self, x: np.ndarray, alpha: float) -> np.ndarray:
+        """The half sum at every point of the flat array x: per block of
+        points, one product per width and one reduction over the panels."""
+        G, j = self.offsets.shape
+        P = self.mid.size
+        C = self.F.shape[1] // (2 * P)
+        out = np.empty((x.size, C))
+        step = max(1, EVAL_BLOCK // (2 * (G * j + P * C)))
+        for i in range(0, x.size, step):
+            xb = x[i : i + step]
+            n = xb.size
+            arg = np.multiply.outer(self.offsets, xb).transpose(0, 2, 1)
+            trig = np.empty((G, n, 2 * j))
+            np.cos(arg, out=trig[:, :, :j])
+            np.sin(arg, out=trig[:, :, j:])
+            R = np.empty((n, self.F.shape[1]))
+            for g in range(G):
+                s, e = self.bounds[g], self.bounds[g + 1]
+                np.matmul(trig[g], self.F[:, s:e], out=R[:, s:e])
+            arg = np.multiply.outer(xb, self.mid)
+            M = np.empty((n, P, 2))
+            np.cos(arg, out=M[:, :, 0])
+            np.sin(arg, out=M[:, :, 1])
+            ob = np.matmul(M.reshape(n, 1, 2 * P), R.reshape(n, 2 * P, C),
+                           out=out[i : i + step, None])[:, 0]
+            if alpha:
+                ob *= np.exp(alpha * xb)[:, None]
+        return out
 
 
 def _cheb_pieces(vs: np.ndarray, A: np.ndarray, length: float, n: int):
@@ -260,7 +349,7 @@ def _cheb_grid(a: float, b: float, P: int):
     return edges, nodes
 
 
-def _half_sum_cheb(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float):
+def _half_sum_cheb(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float, fold=None):
     """The half sum at the finite points x by piecewise Chebyshev
     interpolation, or None where the route does not apply or fails its check.
 
@@ -271,7 +360,8 @@ def _half_sum_cheb(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float):
     point on a node (a and b always are) takes the node's value.  Times
     e^{alpha x}, the result must match the direct sum at CHEB_CHECK_POINTS
     strided points, the first and last included, to CHEB_CHECK_TOL of the
-    column's l1 norm times e^{alpha x}."""
+    column's l1 norm times e^{alpha x}.  Both direct sums run through
+    ``fold`` when one is given."""
     a, b = float(x.min()), float(x.max())
     h = vs.size
     A = np.abs(W[:h]) + np.abs(W[h:])
@@ -281,7 +371,7 @@ def _half_sum_cheb(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float):
     edges, nodes = _cheb_grid(a, b, P)
     if np.any(np.diff(nodes, axis=1) >= 0.0):
         return None  # pieces too short to hold distinct nodes
-    F = _half_sum_direct(nodes.ravel(), vs, W, 0.0).reshape(P, CHEB_DEGREE + 1, -1)
+    F = _direct_sum(nodes.ravel(), vs, W, 0.0, fold).reshape(P, CHEB_DEGREE + 1, -1)
     # a column of ones gives the barycentric denominator in the same product
     F1 = np.concatenate([F, np.ones(F.shape[:2] + (1,))], axis=2)
     # sorted, the points of piece p are xs[starts[p]:starts[p + 1]]
@@ -308,7 +398,7 @@ def _half_sum_cheb(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float):
     if alpha:
         out *= np.exp(alpha * x)[:, None]
     check = np.unique(np.linspace(0, x.size - 1, CHEB_CHECK_POINTS).round().astype(int))
-    ref = _half_sum_direct(x[check], vs, W, alpha)
+    ref = _direct_sum(x[check], vs, W, alpha, fold)
     tol = CHEB_CHECK_TOL * A.sum(axis=0) * np.exp(alpha * x[check])[:, None]
     if not (np.all(np.isfinite(out)) and np.all(np.abs(out[check] - ref) <= tol)):
         return None
@@ -318,26 +408,44 @@ def _half_sum_cheb(x: np.ndarray, vs: np.ndarray, W: np.ndarray, alpha: float):
 class MultiTable:
     """Several contour integrals sharing one adapted node set.
 
-    ``vs`` holds the v > 0 nodes of z_v = i v - alpha and ``W`` the stacked
+    ``vs`` holds the v > 0 nodes of z_v = i v - alpha, on the panels with
+    midpoints ``mid`` and half-widths ``half``, and ``W`` the stacked
     weights x multiplier x transform x phi of every integrand on them
-    (``_stack``), as ``_adapt`` returns them.  ``eval_all(xs)`` computes the
-    trig matrix of the points once and applies every integrand's weights to
-    it in one product (``_half_sum``).
+    (``_stack``), as ``_adapt`` builds them.  ``eval_all(xs)`` gives every
+    integrand at the points from one half sum (``half_sum``).
     """
 
-    def __init__(self, vs, W, alpha, err_estimate):
+    def __init__(self, vs, W, alpha, mid, half):
         self.vs = vs
         self.W = W
         self.alpha = alpha
-        self.err_estimate = err_estimate
+        self.mid = mid
+        self.half = half
+        self.err_estimate = None
+        self.probe_sum = None  # (points, half sums) at which _adapt accepted the table
+        self._fold = None
 
     @property
     def zs(self):
         return 1j * self.vs - self.alpha
 
+    def half_sum(self, x):
+        """``_half_sum`` at the flat points x.  At the accepted probe points
+        it is the probe's own sum.  Past the fold's crossover (FOLD_POINT_NODES)
+        it runs through the angle-addition fold, built at the first such
+        call and kept for the later ones."""
+        if self.probe_sum is not None:
+            px, psum = self.probe_sum
+            if x.size == px.size and np.array_equal(x, px):
+                return psum.copy()
+        if (self._fold is None and x.size > len(_PROBE_QUANTILES)
+                and x.size * self.vs.size >= FOLD_POINT_NODES):
+            self._fold = _Fold(self.mid, self.half, self.W)
+        return _half_sum(x, self.vs, self.W, self.alpha, self._fold)
+
     def eval_all(self, xs):
         xs = np.asarray(xs, dtype=float)
-        vals = _half_sum(xs, self.vs, self.W, self.alpha)
+        vals = self.half_sum(np.ravel(xs))
         if xs.ndim == 0:
             return [float(v) for v in vals[0]]
         return [col.reshape(xs.shape) for col in vals.T]
@@ -400,20 +508,20 @@ def make_multi_table(
         base = payoff.transform_contour(zs) * np.exp(tau * model.psi(1j * zs))
         return [(base if m is None else base * m(zs)) * ws for m in multipliers]
 
-    vs, W, err = _adapt(weighted, _panel_edges(v_max, omega), x_probe, alpha, grid, "contour")
-    return MultiTable(vs, W, alpha, err)
+    return _adapt(weighted, _panel_edges(v_max, omega), x_probe, alpha, grid, "contour")
 
 
-def _adapt(weighted, base_edges, probe, alpha, grid, what):
+def _adapt(weighted, base_edges, probe, alpha, grid, what, table=MultiTable):
     """The one refinement loop of contour, density and fallback tables.
 
     Splits every panel of ``base_edges`` into 2^level pieces until the 16-
     and 24-point Gauss-Legendre sums of every integrand agree at every probe
     point, to ``grid.tol`` relative to 1 + |2pi value| (the scale of the
     unnormalised sum).  ``weighted(vs, ws)`` gives each integrand's weights
-    on nodes vs with quadrature weights ws.  Returns the v > 0 24-point
-    nodes, the stacked weights on them (``_stack``) and the probe error;
-    the node budget counts both halves of the spectrum.
+    on nodes vs with quadrature weights ws.  Returns the 24-point table, a
+    ``table`` instance, with the probe error as its ``err_estimate`` and
+    its sums at a copy of the probe points as its ``probe_sum``; the node
+    budget counts both halves of the spectrum.
 
     The half sums are exact only for conjugate-symmetric weights,
     w(-v) = conj(w(v)).  The accepted level is checked at the mirror of one
@@ -421,30 +529,35 @@ def _adapt(weighted, base_edges, probe, alpha, grid, what):
     sum |w(-v) - conj w(v)| over them exceeds IMAG_RESIDUAL_TOL of
     sum (|w(-v)| + |w(v)|) raises QuadratureError.
     """
+    x = np.array(probe, dtype=float).ravel()
     prev = None
     for level in range(7):
         edges = _split_edges(base_edges, 2**level)
         if 2 * (edges.size - 1) * 24 > grid.max_nodes:
             raise TruncationError(f"{what} node budget exhausted before convergence")
-        vs16, ws16 = _nodes_weights(edges, 16)
-        p_lo = _half_sum(probe, vs16, _stack(weighted(vs16, ws16)), alpha)
-        vs24, ws24 = _nodes_weights(edges, 24)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        vs16, ws16 = _nodes_weights(mid, half, 16)
+        p_lo = MultiTable(vs16, _stack(weighted(vs16, ws16)), alpha, mid, half).half_sum(x)
+        vs24, ws24 = _nodes_weights(mid, half, 24)
         hi = weighted(vs24, ws24)
-        W = _stack(hi)
-        p_hi = _half_sum(probe, vs24, W, alpha)
+        out = table(vs24, _stack(hi), alpha, mid, half)
+        p_hi = out.half_sum(x)
         errs = np.max(np.abs(p_hi - p_lo), axis=0)
         scales = 1.0 + 2.0 * math.pi * np.max(np.abs(p_hi), axis=0)
         if np.all(errs <= grid.tol * scales):
-            mid = slice(11, None, 24)
-            for neg, pos in zip(weighted(-vs24[mid], ws24[mid]), hi):
-                asym = float(np.sum(np.abs(neg - np.conj(pos[mid]))))
-                scale = float(np.sum(np.abs(neg) + np.abs(pos[mid])))
+            check = slice(11, None, 24)
+            for neg, pos in zip(weighted(-vs24[check], ws24[check]), hi):
+                asym = float(np.sum(np.abs(neg - np.conj(pos[check]))))
+                scale = float(np.sum(np.abs(neg) + np.abs(pos[check])))
                 if asym > IMAG_RESIDUAL_TOL * scale:
                     raise QuadratureError(
                         f"imaginary residual {asym / scale:.3g} exceeds tolerance: "
                         "weights are not conjugate-symmetric in v"
                     )
-            return vs24, W, float(np.max(errs))
+            out.err_estimate = float(np.max(errs))
+            out.probe_sum = (x, p_hi)
+            return out
         prev = float(np.max(errs))
     raise QuadratureError(
         f"{what} quadrature did not converge (last probe error {prev:.3g})"
@@ -601,9 +714,9 @@ def _digital_tail(model, grid, t, T, q):
     v_max = _auto_v_max(lambda v: np.exp(tau * np.real(model.psi(v))) / np.maximum(v, 1.0), grid)
     probe = _probe(q)
     edges = _panel_edges(v_max, float(np.max(np.abs(probe))))
-    vs, W, err = _adapt(lambda vs, ws: [-1j * np.exp(tau * model.psi(vs)) / vs * ws],
-                        edges, probe, 0.0, grid, "near-maturity fallback")
-    (p,) = MultiTable(vs, W, 0.0, err).eval_all(q)
+    table = _adapt(lambda vs, ws: [-1j * np.exp(tau * model.psi(vs)) / vs * ws],
+                   edges, probe, 0.0, grid, "near-maturity fallback")
+    (p,) = table.eval_all(q)
     return np.clip(0.5 + p, 0.0, 1.0)
 
 
@@ -618,8 +731,30 @@ def _full(x, c):
 
 def _probe(xs):
     """The distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points; for a
-    scalar point, the point itself."""
-    return np.unique(np.quantile(xs, [0.0, 0.25, 0.5, 0.75, 1.0]))
+    scalar point, the point itself.  These are the values of
+    ``np.unique(np.quantile(xs, _PROBE_QUANTILES))`` from one partial sort,
+    by np.quantile's linear rule: virtual index v = (n - 1) q, clamped to
+    the last point from v >= n - 1 on, and a + (b - a) g, or
+    b - (b - a)(1 - g) for g >= 1/2, between the order statistics a and b
+    around v, with g = v - (index of a)."""
+    x = np.ravel(xs)
+    n = x.size
+    lo, hi, frac = [], [], []
+    for q in _PROBE_QUANTILES:
+        v = (n - 1) * q
+        i = -1 if v >= n - 1 else math.floor(v)
+        lo.append(i)
+        hi.append(-1 if i < 0 else i + 1)
+        frac.append(v - i)
+    part = np.partition(x, sorted({0, -1, *lo, *hi}))
+    if np.isnan(part[-1]):
+        return part[-1:]  # np.quantile is nan throughout
+    out = [b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+           for a, b, g in zip(part.take(lo).tolist(), part.take(hi).tolist(), frac)]
+    if not all(map(math.isfinite, out)):
+        return np.unique(out)
+    out.sort()
+    return np.array([v for k, v in enumerate(out) if k == 0 or v != out[k - 1]])
 
 
 def _contour(model, payoff, grid, t, x, T, multipliers):
@@ -718,7 +853,7 @@ class DensityTable(MultiTable):
 
     def eval(self, ys):
         ys = np.asarray(ys, dtype=float)
-        out = _half_sum(ys, self.vs, self.W, 0.0)[:, 0]
+        out = self.half_sum(np.ravel(ys))[:, 0]
         # clip tiny negative undershoot from truncation
         small = np.abs(out) < 1e-10
         out[small] = np.maximum(out[small], 0.0)
@@ -742,8 +877,8 @@ def make_density_table(model, grid, t, T, y_probe=None) -> DensityTable:
     def weighted(vs, ws):
         return [np.exp(tau * model.psi(vs)) * ws]
 
-    vs, W, err = _adapt(weighted, _panel_edges(v_max, omega), y_probe, 0.0, grid, "density")
-    return DensityTable(vs, W, 0.0, err)
+    return _adapt(weighted, _panel_edges(v_max, omega), y_probe, 0.0, grid, "density",
+                  DensityTable)
 
 
 def density(model, grid, t, T, y):

@@ -1,7 +1,8 @@
 """Independent oracles that the tests compare the package against: quadrature
 for the closed-form jump exponent and square-root payoff transforms, the
-large-argument form of K1, and path simulation by plain argsort, np.interp
-and a 2-D np.add.at."""
+large-argument form of K1, path simulation by plain argsort, np.interp and a
+2-D np.add.at, the contour half sum node by node, and the probe points by
+np.quantile."""
 
 import math
 
@@ -138,3 +139,19 @@ def simulate_reference(model, T, n_steps, n_paths, seed, scheme="exact", eps_jum
     np.cumsum(inc, axis=1, out=x[:, 1:])
     x[:, 1:] += model.x0
     return x, dW, dB, jp, jstep, jt, jsize
+
+
+def half_sum_direct(x, vs, W, alpha):
+    """(1/pi) e^{alpha x} sum_{v>0} [Re w cos(vx) + Im w sin(vx)] at the
+    points x for every column of the stacked weights W = [Re w; Im w] / pi,
+    with one cos and one sin per point and node."""
+    x = np.ravel(x)
+    h = vs.size
+    arg = np.multiply.outer(x, vs)
+    return (np.cos(arg) @ W[:h] + np.sin(arg) @ W[h:]) * np.exp(alpha * x)[:, None]
+
+
+def probe_quantiles(xs):
+    """The distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points by
+    np.quantile's default (linear) rule."""
+    return np.unique(np.quantile(xs, [0.0, 0.25, 0.5, 0.75, 1.0]))

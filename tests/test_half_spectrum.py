@@ -55,12 +55,13 @@ def _recorded(build, *args, **kwargs):
             calls.append((vs, ws))
             return weighted(vs, ws)
 
-        vs, W, err = adapt(seen, *rest)
+        table = adapt(seen, *rest)
+        vs = table.vs
         ws = next(w for v, w in calls if v is vs)
         full["vs"] = np.concatenate([-vs[::-1], vs])
         neg, pos = weighted(-vs[::-1], ws[::-1]), weighted(vs, ws)
         full["ws"] = [np.concatenate(pair) for pair in zip(neg, pos)]
-        return vs, W, err
+        return table
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fourier, "_adapt", recording)
