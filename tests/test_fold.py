@@ -25,8 +25,8 @@ EPS = np.finfo(float).eps
 # the kernel's rounding bound: KERNEL_C eps (1 + v_max max|x|) times each
 # column's l1 norm times e^{alpha x}.  A node's phase v x carries a rounding
 # error of about eps v |x|, on either route, and each sum adds its terms'
-# rounding; on random panels and weights the kernel stays within a third of
-# the bound at KERNEL_C = 1.
+# rounding; at KERNEL_C = 1 the kernel stays within a third of the bound on
+# random panels and weights, and within 1.1 of it on the suite's tables.
 KERNEL_C = 4.0
 
 
