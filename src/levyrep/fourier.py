@@ -46,7 +46,13 @@ all pass it their multipliers and points (``jump_difference`` is F at x and
 x + y from one table).  It returns a float for a scalar point, an array of
 the input's shape otherwise.  Contour and fallback tables are tuned at
 ``_probe``, the distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points, and
-one refinement loop, ``_adapt``, refines every table.
+one refinement loop, ``_adapt``, refines every table.  The path drivers
+share one step loop (``representation._drive_paths``), whose tables share
+a cache for one driver call: on a fixed node set only e^{tau psi} depends
+on t, so the payoff transform, psi(i z_v) and the multipliers are kept per
+node set (``_NodeFactors``), with Re psi on the v_max ladder.  Node sets
+repeat only if omega does, so a driver's tables round omega up to a power
+of two; every other table keeps its exact omega.
 ``conditional_value_batch``, ``dF_dx_batch`` and ``density_batch`` are the
 same functions under their batch names.
 """
@@ -451,6 +457,20 @@ class MultiTable:
         return [col.reshape(xs.shape) for col in vals.T]
 
 
+class _NodeFactors:
+    """The t-independent factors of a contour table's weights on one node
+    set: the payoff transform, psi(i z_v) and each multiplier's values."""
+
+    def __init__(self, model, payoff, multipliers, zs):
+        self.ghat = payoff.transform_contour(zs)
+        self.psi = model.psi(1j * zs)
+        self.mults = [None if m is None else m(zs) for m in multipliers]
+
+    def weights(self, tau, ws):
+        base = self.ghat * np.exp(tau * self.psi)
+        return [(base if m is None else base * m) * ws for m in self.mults]
+
+
 def _check_contour_domain(model: LevyModel, payoff: DampedPayoff, alpha: float):
     lo, hi = model.exp_moment_strip()
     if not (lo < alpha < hi):
@@ -472,8 +492,10 @@ def make_multi_table(
     T: float,
     multipliers,
     x_probe=None,
+    cache=None,
 ) -> MultiTable:
-    """Adapt one contour node set until every multiplier's probe converges."""
+    """Adapt one contour node set until every multiplier's probe converges;
+    ``cache`` is a path driver's dict for these multipliers (module doc)."""
     if t >= T:
         raise DomainError("contour table needs t < T")
     if payoff.transform0 is None:
@@ -486,6 +508,9 @@ def make_multi_table(
         x_probe = np.array([payoff.osc_center])
     x_probe = np.atleast_1d(np.asarray(x_probe, dtype=float))
     omega = float(np.max(np.abs(x_probe - payoff.osc_center)))
+    if cache is not None and 0.0 < omega < math.inf:
+        omega = math.ldexp(1.0, math.frexp(omega)[1])
+    factors = {} if cache is None else cache
 
     # payoff-scale constant for the truncation envelope
     z_ref = 1j * 1.0 - alpha
@@ -497,16 +522,18 @@ def make_multi_table(
 
     def envelope(v):
         zs = 1j * v - alpha
-        w = 1j * zs
-        mag = np.exp(tau * np.real(model.psi(w)))
+        if "ladder" not in factors:
+            factors["ladder"] = np.real(model.psi(1j * zs))
+        mag = np.exp(tau * factors["ladder"])
         return mag * (1.0 + np.abs(zs)) * cbar / np.abs(zs)
 
     v_max = _auto_v_max(envelope, grid)
 
     def weighted(vs, ws):
-        zs = 1j * vs - alpha
-        base = payoff.transform_contour(zs) * np.exp(tau * model.psi(1j * zs))
-        return [(base if m is None else base * m(zs)) * ws for m in multipliers]
+        key = vs.tobytes()
+        if key not in factors:
+            factors[key] = _NodeFactors(model, payoff, multipliers, 1j * vs - alpha)
+        return factors[key].weights(tau, ws)
 
     return _adapt(weighted, _panel_edges(v_max, omega), x_probe, alpha, grid, "contour")
 
@@ -757,19 +784,21 @@ def _probe(xs):
     return np.array([v for k, v in enumerate(out) if k == 0 or v != out[k - 1]])
 
 
-def _contour(model, payoff, grid, t, x, T, multipliers):
+def _contour(model, payoff, grid, t, x, T, multipliers, cache=None):
     """Every contour table is built here.  Returns (values, err_estimate)
     with one value per multiplier (None for F itself): a float for scalar x,
-    else an array of x's shape.
+    else an array of x's shape; ``cache`` is a path driver's.
 
     The table is tuned at ``_probe`` of the points.  A constant payoff needs
     no table: F is the constant, every multiplier (derivatives, jump terms)
-    gives 0, and the error is 0."""
+    gives 0, and the error is 0; nor does an empty point array."""
     if payoff.kind == "constant":
         c = payoff.params[0]
         return [_full(x, c if m is None else 0.0) for m in multipliers], 0.0
     xs = np.asarray(x, dtype=float)
-    table = make_multi_table(model, payoff, grid, t, T, multipliers, x_probe=_probe(xs))
+    if xs.size == 0:
+        return [np.empty(xs.shape) for _ in multipliers], 0.0
+    table = make_multi_table(model, payoff, grid, t, T, multipliers, _probe(xs), cache)
     return table.eval_all(xs), table.err_estimate
 
 
@@ -885,6 +914,8 @@ def density(model, grid, t, T, y):
     """p_t(y): density of X_T - X_t at y; a float for scalar y, else an
     array of y's shape."""
     ys = np.asarray(y, dtype=float)
+    if ys.size == 0:
+        return np.empty(ys.shape)
     return make_density_table(model, grid, t, T, y_probe=ys).eval(ys)
 
 

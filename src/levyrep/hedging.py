@@ -37,6 +37,7 @@ from .fourier import make_multi_table  # noqa: F401
 from .mmm import MarketSpec, MmmTransform, exp_jump_mean
 from .models import BrownianModel
 from .payoffs import digital_payoff
+from .representation import _drive_paths
 from .simulate import PathBatch
 
 
@@ -179,42 +180,33 @@ def fs_path_study(
     bracket statistic is the negative-control lever.
     """
     model = market.model
-    if batch.scheme == "marks":
-        eps = batch.eps_jump
-    else:
-        eps = None
-        if not (isinstance(model, BrownianModel) or model.is_finite_activity):
-            raise DomainError(
-                "exact infinite-activity paths carry no jump marks; "
-                "use scheme='marks' for decomposition studies"
-            )
+    eps = batch.eps_jump if batch.scheme == "marks" else None
+    if eps is None and not (isinstance(model, BrownianModel) or model.is_finite_activity):
+        raise DomainError(
+            "exact infinite-activity paths carry no jump marks; "
+            "use scheme='marks' for decomposition studies"
+        )
     sigma = model.sigma
     disc = math.exp(-market.r * market.T)
     m1_exp = exp_jump_mean(model, eps)
-    n_paths, n_steps, dt = batch.n_paths, batch.n_steps, batch.dt
+    n, n_steps, dt = batch.n_paths, batch.n_steps, batch.dt
+    payoff = digital_payoff(market.strike_level(), alpha=grid.alpha)
+    mults = _hedge_multipliers(market, eps, True)
 
-    gains = np.zeros(n_paths)
-    l_fs = np.zeros(n_paths)
-    bracket = np.zeros(n_paths)
-    h0 = np.zeros(n_paths)
+    def evaluate(t, pts, cache):  # hedge_components_batch, sharing the cache
+        vals, _ = _contour(transform.star, payoff, grid, t, pts, market.T, mults, cache)
+        return vals + [_full(pts, 0.0)] * (4 - len(vals))
 
-    for k, t, xk, jp, jy in batch.steps():
+    gains, l_fs, bracket, h0 = np.zeros((4, n))
+    steps = _drive_paths(batch, evaluate)
+    for k, xk, jp, jy, (F, kappa, nu_int, psi_comp), psi_star_j in steps:
         s_hat = np.exp(xk)
-        pts = np.concatenate([xk, xk[jp] + jy])
-        F_all, kappa, nu_int, psi_comp, _ = hedge_components_batch(
-            market, transform, grid, t, pts, eps=eps, with_psi_compensator=True
-        )
-        F = F_all[:n_paths]
-        kappa = kappa[:n_paths]
-        nu_int = nu_int[:n_paths]
-        psi_comp = psi_comp[:n_paths]
         if k == 0:
-            h0 = disc * F.copy()  # per-path H^_0 = e^{-rT} F*(0, X_0)
+            h0 = disc * F  # per-path H^_0 = e^{-rT} F*(0, X_0)
         xi = xi_scale * _lrm_ratio(market, transform, s_hat, kappa, nu_int)
 
         # hedge gains against the discounted price
-        s_next = np.exp(batch.x[:, k + 1])
-        gains += xi * (s_next - s_hat)
+        gains += xi * (np.exp(batch.x[:, k + 1]) - s_hat)
 
         # L^H: diffusion part plus compensated jump part
         a = disc * kappa - xi * s_hat
@@ -224,7 +216,6 @@ def fs_path_study(
             bracket += a * sigma * s_hat * sigma * dt
         comp = disc * psi_comp - xi * s_hat * m1_exp
         l_fs -= comp * dt
-        psi_star_j = F_all[n_paths:] - F[jp]
         dl = disc * psi_star_j - xi[jp] * s_hat[jp] * (np.exp(jy) - 1.0)
         np.add.at(l_fs, jp, dl)
         # jump part of the covariation with dM^ = S^_{-}(e^y - 1)
@@ -233,7 +224,6 @@ def fs_path_study(
     x_T = batch.x[:, -1]
     claim = disc * (x_T >= market.strike_level()).astype(float)
     identity_err = claim - (h0 + gains + l_fs)
-    n = n_paths
     return {
         "n_paths": n,
         "n_steps": n_steps,

@@ -76,13 +76,10 @@ class _Part:
         self.nu_eps = nu_eps
         self.kind = payoff.kind
         self._has_jumps = not isinstance(model, BrownianModel)
-        self._mults = [None, _mult_dx]
-        if self._has_jumps and self.kind not in ("constant", "polynomial"):
-            self._mults.append(_mult_nu(model, nu_eps))
 
-    def evaluate(self, s, xs, n=3):
+    def evaluate(self, s, xs, n=3, cache=None):
         """The first n of (F, dF_dx, nu_comp) at the points xs, zeros where
-        the part has no such term."""
+        the part has no such term; ``cache`` is a path driver's."""
         if self.kind == "polynomial":
             xs = np.asarray(xs, dtype=float)
             coeffs = _poly_value_coeffs(self.model, self.payoff.params, self.T - s)
@@ -91,8 +88,10 @@ class _Part:
             dF = pv(xs, np.polynomial.polynomial.polyder(coeffs))
             vals = [F, dF, self._poly_nu_comp(xs, coeffs)][:n]
         else:
-            vals, _ = _contour(self.model, self.payoff, self.grid, s, xs, self.T,
-                               self._mults[:n])
+            mults = [None, _mult_dx][:n]
+            if n == 3 and self._has_jumps and self.kind != "constant":
+                mults.append(_mult_nu(self.model, self.nu_eps))  # u, theta never ask
+            vals, _ = _contour(self.model, self.payoff, self.grid, s, xs, self.T, mults, cache)
         return (*vals, *[_full(xs, 0.0)] * (n - len(vals)))
 
     def _poly_nu_comp(self, xs, coeffs):
@@ -126,12 +125,18 @@ class RepresentationIntegrands:
     parts: tuple
     mean: float
 
+    def _terms(self, s, xs, n, cache=None):
+        """Signed sums over the parts of the first n of (F, dF/dx,
+        nu-compensator) at xs; each part keeps a sub-cache of a driver's."""
+        vals = [part.evaluate(s, xs, n, None if cache is None else cache.setdefault(i, {}))
+                for i, part in enumerate(self.parts)]
+        return [sum(p.sign * v[j] for p, v in zip(self.parts, vals)) for j in range(n)]
+
     def u(self, s: float, x: float) -> float:
         """Diffusion integrand sigma * dF/dx(s, x)."""
         if self.model.sigma == 0.0:
             return 0.0
-        dF = sum(part.sign * part.evaluate(s, x, n=2)[1] for part in self.parts)
-        return float(self.model.sigma * dF)
+        return float(self.model.sigma * self._terms(s, x, 2)[1])
 
     def theta(self, s: float, x: float, y: float) -> float:
         """Jump integrand F(s, x + y) - F(s, x), from one table per part at
@@ -146,8 +151,7 @@ class RepresentationIntegrands:
 
     def value(self, s: float, x: float) -> float:
         """F(s, x) summed over payoff parts."""
-        F = sum(part.sign * part.evaluate(s, x, n=1)[0] for part in self.parts)
-        return float(F)
+        return float(self._terms(s, x, 1)[0])
 
     def claim(self, x_T):
         x_T = np.asarray(x_T, dtype=float)
@@ -170,6 +174,8 @@ def build_integrands(
     its |y| >= nu_eps truncation; replication of a marks-scheme path batch
     must use the batch's own truncation level.
     """
+    if nu_eps is not None and not 0 < nu_eps < math.inf:
+        raise ParameterError(f"nu_eps must be positive and finite, got {nu_eps!r}")
     if isinstance(payoff, PayoffDecomposition):
         raw_parts = payoff.parts
     elif isinstance(payoff, DampedPayoff):
@@ -210,6 +216,19 @@ def _check_path_compat(integrands: RepresentationIntegrands, batch: PathBatch):
             )
 
 
+def _drive_paths(batch: PathBatch, evaluate):
+    """The one step loop of ``replicate_batch`` and ``hedging.fs_path_study``:
+    ``evaluate(t_k, points, cache)`` prices the grid and then the post-jump
+    states of step k, with one dict ``cache`` for the loop (``fourier``).
+    Yields (k, x_k, jump paths, jump sizes, the values at x_k, and the first
+    value's F(x + y) - F(x) at each jump)."""
+    n = batch.n_paths
+    cache = {}
+    for k, t, xk, jp, jy in batch.steps():
+        vals = evaluate(t, np.concatenate([xk, xk[jp] + jy]), cache)
+        yield k, xk, jp, jy, [v[:n] for v in vals], vals[0][n:] - vals[0][:n][jp]
+
+
 def replicate_batch(integrands: RepresentationIntegrands, batch: PathBatch) -> dict:
     """Replay the representation along every path of the batch.
 
@@ -220,23 +239,17 @@ def replicate_batch(integrands: RepresentationIntegrands, batch: PathBatch) -> d
     model = integrands.model
     n_paths, n_steps, dt = batch.n_paths, batch.n_steps, batch.dt
     R = np.full(n_paths, integrands.mean)
-    for k, s, xk, jp, jy in batch.steps():
-        # one table per step prices both the grid states and the post-jump
-        # states
-        pts = np.concatenate([xk, xk[jp] + jy])
-        for part in integrands.parts:
-            F_all, dF_all, comp = part.evaluate(s, pts)
-            if model.sigma != 0.0:
-                R += part.sign * model.sigma * dF_all[:n_paths] * batch.dW[:, k]
-            R -= part.sign * comp[:n_paths] * dt
-            np.add.at(R, jp, part.sign * (F_all[n_paths:] - F_all[:n_paths][jp]))
+    steps = _drive_paths(batch, lambda s, pts, cache: integrands._terms(s, pts, 3, cache))
+    for k, _, jp, _, (_, dF, comp), jump in steps:
+        if model.sigma != 0.0:
+            R += model.sigma * dF * batch.dW[:, k]
+        R -= comp * dt
+        np.add.at(R, jp, jump)
     claim = integrands.claim(batch.x[:, -1])
-    err = claim - R
-    mse = float(np.mean(err**2))
     return {
         "n_paths": n_paths,
         "n_steps": n_steps,
-        "mse": mse,
+        "mse": float(np.mean((claim - R) ** 2)),
         "mean_claim": float(np.mean(claim)),
         "mean_replication": float(np.mean(R)),
         "se": float(np.std(R, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,

@@ -1,8 +1,9 @@
 """Independent oracles that the tests compare the package against: quadrature
 for the closed-form jump exponent and square-root payoff transforms, the
 large-argument form of K1, path simulation by plain argsort, np.interp and a
-2-D np.add.at, the contour half sum node by node, and the probe points by
-np.quantile."""
+2-D np.add.at, the contour half sum node by node, the probe points by
+np.quantile, and the per-step loops of replication and of the FS study with
+one uncached table per step."""
 
 import math
 
@@ -10,6 +11,8 @@ import numpy as np
 from scipy import integrate
 
 from levyrep.errors import DomainError, ParameterError, QuadratureError
+from levyrep.hedging import _lrm_ratio, hedge_components_batch
+from levyrep.mmm import exp_jump_mean
 from levyrep.models import SMALL_JUMP_SPLIT, MertonModel
 from levyrep.simulate import build_mark_table
 
@@ -155,3 +158,45 @@ def probe_quantiles(xs):
     """The distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points by
     np.quantile's default (linear) rule."""
     return np.unique(np.quantile(xs, [0.0, 0.25, 0.5, 0.75, 1.0]))
+
+
+def replicate_reference(integrands, batch):
+    """The replication values R of ``replicate_batch``, from one uncached
+    table per part and step at the grid and post-jump states."""
+    model, n = integrands.model, batch.n_paths
+    R = np.full(n, integrands.mean)
+    for k, s, xk, jp, jy in batch.steps():
+        pts = np.concatenate([xk, xk[jp] + jy])
+        for part in integrands.parts:
+            F_all, dF_all, comp = part.evaluate(s, pts)
+            if model.sigma != 0.0:
+                R += part.sign * model.sigma * dF_all[:n] * batch.dW[:, k]
+            R -= part.sign * comp[:n] * batch.dt
+            np.add.at(R, jp, part.sign * (F_all[n:] - F_all[:n][jp]))
+    return R
+
+
+def fs_reference(market, transform, grid, batch):
+    """(L^H, bracket) of ``fs_path_study`` at xi_scale 1, from one uncached
+    ``hedge_components_batch`` table per step."""
+    model, n, dt = market.model, batch.n_paths, batch.dt
+    eps = batch.eps_jump if batch.scheme == "marks" else None
+    disc = math.exp(-market.r * market.T)
+    m1_exp = exp_jump_mean(model, eps)
+    l_fs, bracket = np.zeros(n), np.zeros(n)
+    for k, t, xk, jp, jy in batch.steps():
+        s_hat = np.exp(xk)
+        pts = np.concatenate([xk, xk[jp] + jy])
+        F_all, kappa, nu_int, psi_comp, _ = hedge_components_batch(
+            market, transform, grid, t, pts, eps=eps, with_psi_compensator=True)
+        F, kappa, nu_int, psi_comp = F_all[:n], kappa[:n], nu_int[:n], psi_comp[:n]
+        xi = _lrm_ratio(market, transform, s_hat, kappa, nu_int)
+        a = disc * kappa - xi * s_hat
+        if model.sigma > 0:
+            l_fs += a * model.sigma * batch.dW[:, k]
+            bracket += a * model.sigma * s_hat * model.sigma * dt
+        l_fs -= (disc * psi_comp - xi * s_hat * m1_exp) * dt
+        dl = disc * (F_all[n:] - F[jp]) - xi[jp] * s_hat[jp] * (np.exp(jy) - 1.0)
+        np.add.at(l_fs, jp, dl)
+        np.add.at(bracket, jp, dl * s_hat[jp] * (np.exp(jy) - 1.0))
+    return l_fs, bracket

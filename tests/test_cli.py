@@ -8,8 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyrep import QuadratureGrid, __version__, build_integrands, model_from_dict, payoff_from_dict
+from levyrep import (
+    LevyRepError,
+    QuadratureGrid,
+    __version__,
+    build_integrands,
+    errors,
+    model_from_dict,
+    payoff_from_dict,
+)
 from levyrep.cli import config_hash, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+COMMANDS = ("check", "represent", "density", "hedge", "verify-replication", "verify-fs",
+            "malliavin")
 
 MERTON_CFG = {
     "model": {"kind": "merton", "x0": 0.0, "mu": -0.1, "sigma": 0.2,
@@ -289,3 +301,30 @@ def test_config_hash_stable_under_key_order(seed):
     items = list(cfg.items())
     random.Random(seed).shuffle(items)
     assert config_hash(dict(items)) == config_hash(cfg)
+
+
+def _run_shipped(tmp_path, name, command):
+    return main([command, "--config", str(CONFIGS / f"{name}_digital.json"),
+                 "--out", str(tmp_path), "--paths", "40", "--steps", "10"])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", ["merton", "nig"])
+def test_every_subcommand_runs_on_the_shipped_config(tmp_path, capsys, name, command):
+    assert _run_shipped(tmp_path, name, command) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_on_vg_ends_cleanly(tmp_path, capsys, command):
+    """VG fails the decay condition: a subcommand runs, ``check`` reports
+    the failed assumption with exit 1, or it exits 2 with one structured
+    error line and no traceback."""
+    rc = _run_shipped(tmp_path, "vg", command)
+    err = capsys.readouterr().err
+    if rc == 2:
+        match = re.fullmatch(r"error: (\w+): [^\n]+\n", err)
+        assert match, err
+        assert issubclass(getattr(errors, match.group(1)), LevyRepError)
+    else:
+        assert rc == 0 or (command, rc) == ("check", 1), (rc, err)
+        assert "Traceback" not in err

@@ -423,6 +423,22 @@ def test_pointwise_operations_keep_array_shape(merton, nig, grid):
     assert type(one) is float and abs(one - fb[1, 0]) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_empty_point_arrays_give_empty_values(merton, nig, grid, shape):
+    payoff = digital_payoff(0.0, alpha=1.0)
+    xs = np.zeros(shape)
+
+    def jump(model, payoff, grid, t, x, T):
+        return jump_difference(model, payoff, grid, t, x, 0.3, T)
+
+    for model in (merton, nig):
+        for op in (conditional_value, dF_dx, jump):
+            vals = op(model, payoff, grid, 0.2, xs, T)
+            assert vals.shape == shape and vals.dtype == float
+        vals = density(model, grid, 0.2, T, xs)
+        assert vals.shape == shape and vals.dtype == float
+
+
 def test_constant_payoff_needs_no_table(nig, grid):
     payoff = constant_payoff(0.7)
     xs = np.zeros((2, 3))

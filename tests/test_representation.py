@@ -18,6 +18,7 @@ from levyrep import (
     conditional_value_batch,
     dF_dx,
     digital_payoff,
+    jump_difference,
     polynomial_payoff,
     replicate_batch,
     replicate_on_path,
@@ -147,15 +148,20 @@ def test_near_maturity_step_rejected(merton, merton_ints):
 
 def test_exact_infinite_activity_batch_rejected(nig, grid):
     from levyrep import DomainError
-    # infinite-variation jumps have no full plain compensator ...
+    # infinite-variation jumps have no full plain compensator, which only a
+    # path driver asks for; u and theta exist without it ...
+    plain = build_integrands(nig, digital_payoff(0.0, alpha=1.0), grid, T)
     with pytest.raises(DomainError):
-        build_integrands(nig, digital_payoff(0.0, alpha=1.0), grid, T)
+        plain.parts[0].evaluate(0.5, np.array([0.0]))
+    assert plain.theta(0.5, 0.0, 0.2) == jump_difference(
+        nig, digital_payoff(0.0, alpha=1.0), grid, 0.5, 0.0, 0.2, T)
     # ... and exact-scheme paths carry no marks to replay against
     ints = build_integrands(nig, digital_payoff(0.0, alpha=1.0), grid, T,
                             nu_eps=1e-3)
     batch = simulate(nig, T, 20, 5, seed=0)  # exact scheme: no marks
-    with pytest.raises(SchemeError):
-        replicate_batch(ints, batch)
+    for integrands in (plain, ints):
+        with pytest.raises(SchemeError):
+            replicate_batch(integrands, batch)
 
 
 def test_truncation_level_mismatch_rejected(merton, grid, merton_ints):
