@@ -68,7 +68,7 @@ import numpy as np
 
 from .config import check_keys
 from .errors import DomainError, ParameterError, QuadratureError, TruncationError
-from .models import BrownianModel, LevyModel, nu_tail_cutoff
+from .models import BrownianModel, LevyModel, geometric_panels, nu_tail_cutoff
 from .payoffs import DampedPayoff
 
 IMAG_RESIDUAL_TOL = 1e-8
@@ -646,14 +646,11 @@ def truncated_nu_nodes(model, eps: float, n_panels: int = 40, order: int = 10):
     the weights already include the density."""
     if not 0 < eps < math.inf:
         raise ParameterError(f"eps must be positive and finite, got {eps!r}")
-    gx, gw = np.polynomial.legendre.leggauss(order)
     ys_list, ws_list = [], []
     for sgn in (-1.0, 1.0):
-        edges = np.geomspace(eps, nu_tail_cutoff(model, sgn, eps), n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        ys = sgn * (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        ws = (half[:, None] * gw[None, :]).ravel() * model.levy_density(ys)
+        xs, ws = geometric_panels(eps, nu_tail_cutoff(model, sgn, eps), n_panels, order)
+        ys = sgn * xs
+        ws = ws * model.levy_density(ys)
         keep = ws > 0
         ys_list.append(ys[keep])
         ws_list.append(ws[keep])
@@ -672,6 +669,13 @@ def _small_jump_rule(model, eps: float, panels: int):
     return ys, np.concatenate([ws[::-1], ws]) * model.levy_density(ys)
 
 
+def small_jump_moments(model, eps: float, kmax: int) -> np.ndarray:
+    """mu_k = int_{|y| < eps} y^k nu(dy) for k = 2..kmax from
+    ``_small_jump_rule`` with one panel per side (y^2 nu is bounded at 0)."""
+    ys, wts = _small_jump_rule(model, eps, 1)
+    return (ys ** np.arange(2, kmax + 1)[:, None]) @ wts
+
+
 @lru_cache(maxsize=32)
 def truncated_jump_exponent(model, eps: float):
     """(J_eps, m1_eps) of nu restricted to |y| >= eps:
@@ -682,19 +686,19 @@ def truncated_jump_exponent(model, eps: float):
     part S_eps(w) = int_{|y| < eps} (e^{iwy} - 1 - iwy) nu(dy).  Where
     |w| eps <= SMALL_JUMP_SERIES_MAX, S_eps is the series
     sum_{k=2}^{SMALL_JUMP_TERMS} (iw)^k mu_k / k! in Horner form, with
-    mu_k = int_{|y| < eps} y^k nu(dy) from ``_small_jump_rule`` with one
-    panel per side (y^2 nu is bounded at 0).  Beyond, S_eps is the sum of
-    e^{iwy} - 1 - iwy over that rule with enough panels that none spans
-    more than SMALL_JUMP_PANEL_PHASE radians at the call's largest |w|.
+    mu_k from ``small_jump_moments``.  Beyond, S_eps is the sum of
+    e^{iwy} - 1 - iwy over ``_small_jump_rule`` with enough panels that
+    none spans more than SMALL_JUMP_PANEL_PHASE radians at the call's
+    largest |w|.
     m1_eps is the sum over ``truncated_nu_nodes``.  One build per
     (model, eps); every model is a hashable frozen dataclass.
     """
     big_ys, big_wts = truncated_nu_nodes(model, eps)
     m1 = float(big_ys @ big_wts)
-    ys, wts = _small_jump_rule(model, eps, 1)
     k = np.arange(2, SMALL_JUMP_TERMS + 1)
-    coef = (ys ** k[:, None]) @ wts / np.array([math.factorial(j) for j in k])
-    rules = {1: (ys, wts)}
+    coef = small_jump_moments(model, eps, SMALL_JUMP_TERMS) / np.array(
+        [math.factorial(j) for j in k])
+    rules = {}
 
     def small_jumps(w):
         flat = np.atleast_1d(w).ravel()

@@ -34,6 +34,7 @@ from .models import (
 from .simulate import PathBatch
 
 MARTINGALE_TOL = 1e-8
+STAR_MOMENT_NODES = 64  # trapezoid nodes of StarModel.nu_moments' Cauchy integral
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,21 @@ class StarModel(LevyModel):
 
     def nu_mean(self):
         return self.base.nu_mean() - self.load * self.m1e
+
+    def nu_moments(self):
+        """(m1, .., m4) of nu*: m1 is ``nu_mean``; for k >= 2, m_k is the
+        k-th derivative at 0 of g(u) = J*(-iu), by Cauchy's formula with the
+        trapezoid rule on a circle of radius r inside the moment strip (its
+        error falls like 2^-STAR_MOMENT_NODES, as g is analytic on the
+        circle of radius 2r)."""
+        lo, hi = self.exp_moment_strip()
+        r = 0.5 * min(1.0, -lo, hi)
+        theta = 2.0 * math.pi * np.arange(STAR_MOMENT_NODES) / STAR_MOMENT_NODES
+        g = self.jump_exponent(-1j * r * np.exp(1j * theta))
+        k = np.arange(2, 5)
+        mk = np.exp(-1j * np.outer(k, theta)) @ g / STAR_MOMENT_NODES
+        scale = np.array([math.factorial(j) for j in k]) / r**k
+        return (self.nu_mean(), *(float(v) for v in (scale * mk).real))
 
     def nu_second_moment(self):
         # int x^2 nu* = int x^2 nu - load int x^2 (e^x - 1) nu, where

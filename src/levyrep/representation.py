@@ -31,7 +31,7 @@ from .fourier import (
 from .fourier import make_multi_table  # noqa: F401
 from .models import BrownianModel, LevyModel
 from .payoffs import DampedPayoff, PayoffDecomposition
-from .simulate import PathBatch, _jump_cumulants
+from .simulate import PathBatch
 
 # integrands are evaluated only for s <= T - NEAR_MATURITY_FRACTION * T; the
 # contour degenerates in the final sliver and the last interval is covered by
@@ -53,7 +53,7 @@ def _poly_value_coeffs(model: LevyModel, coeffs, tau: float):
     """Coefficients of x -> E[p(x + Y_tau)] for a polynomial p."""
     if len(coeffs) - 1 > MAX_POLY_DEGREE:
         raise ParameterError(f"polynomial payoffs capped at degree {MAX_POLY_DEGREE}")
-    m2j, m3j, m4j = _jump_cumulants(model)
+    _, m2j, m3j, m4j = model.nu_moments()
     mom = _raw_moments_from_cumulants(
         model.mu * tau, (model.sigma**2 + m2j) * tau, m3j * tau, m4j * tau
     )
@@ -99,9 +99,7 @@ class _Part:
         function p_tau: expand in powers of y against nu-moments."""
         if not self._has_jumps:
             return np.zeros_like(xs)
-        m1 = self.model.nu_mean()
-        m2j, m3j, m4j = _jump_cumulants(self.model)
-        numoms = [0.0, m1, m2j, m3j, m4j]
+        numoms = [0.0, *self.model.nu_moments()]
         deg = len(coeffs) - 1
         out = np.zeros_like(xs)
         dcoeffs = coeffs

@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .config import config_count, config_number
 from .errors import ParameterError, SchemeError
+from .fourier import small_jump_moments
 from .models import (
     BrownianModel,
     CustomModel,
@@ -257,13 +257,7 @@ def build_mark_table(model: LevyModel, eps: float, n_knots: int = 4000) -> MarkT
     u_grid, idx = np.unique(u_grid, return_index=True)
     y_grid = y_grid[idx]
 
-    small_var = 0.0
-    for sgn in (1.0, -1.0):
-        val, _ = integrate.quad(
-            lambda u: u * u * float(model.levy_density(np.array(sgn * u))), 0.0, eps
-        )
-        small_var += val
-
+    small_var = small_jump_moments(model, eps, 2)[0]
     slopes = np.append(np.diff(y_grid) / np.diff(u_grid), 0.0)
     u_next = np.append(u_grid[1:], np.inf)
     n_buckets = 16 * u_grid.size
@@ -418,35 +412,10 @@ def simulate(
 # distributional targets
 
 
-def _jump_cumulants(model: LevyModel):
-    """(int x^2 nu, int x^3 nu, int x^4 nu)."""
-    if isinstance(model, BrownianModel):
-        return 0.0, 0.0, 0.0
-    if hasattr(model, "nu_moments"):
-        _, m2, m3, m4 = model.nu_moments()
-        return m2, m3, m4
-    if isinstance(model, VGModel):
-        c, g, m = model.C, model.G, model.M
-        return (
-            c * (1.0 / m**2 + 1.0 / g**2),
-            2.0 * c * (1.0 / m**3 - 1.0 / g**3),
-            6.0 * c * (1.0 / m**4 + 1.0 / g**4),
-        )
-    total = [0.0, 0.0, 0.0]
-    for sgn in (1.0, -1.0):
-        for j, k in enumerate((2, 3, 4)):
-            val, _ = integrate.quad(
-                lambda u, k=k: u**k * float(model.levy_density(np.array(sgn * u))),
-                0.0, np.inf, limit=300,
-            )
-            total[j] += sgn**k * val
-    return tuple(total)
-
-
 def moments_from_psi(model: LevyModel, t: float):
     """Mean, variance, skewness and excess kurtosis of X_t - x0 implied by
     the characteristic exponent's cumulants."""
-    m2, m3, m4 = _jump_cumulants(model)
+    _, m2, m3, m4 = model.nu_moments()
     k1 = model.mu * t
     k2 = (model.sigma**2 + m2) * t
     k3 = m3 * t

@@ -1,5 +1,6 @@
 """Independent oracles that the tests compare the package against: quadrature
 for the closed-form jump exponent and square-root payoff transforms, the
+fixed quadrature grid that custom models used before their closed form, the
 large-argument form of K1, path simulation by plain argsort, np.interp and a
 2-D np.add.at, the contour half sum node by node, the probe points by
 np.quantile, and the per-step loops of replication and of the FS study with
@@ -13,8 +14,11 @@ from scipy import integrate
 from levyrep.errors import DomainError, ParameterError, QuadratureError
 from levyrep.hedging import _lrm_ratio, hedge_components_batch
 from levyrep.mmm import exp_jump_mean
-from levyrep.models import SMALL_JUMP_SPLIT, MertonModel
+from levyrep.models import MertonModel
 from levyrep.simulate import build_mark_table
+
+# the brute-force jump exponent integrates below this |x| by a Taylor series
+SMALL_JUMP_SPLIT = 1e-4
 
 
 def jump_exponent_quadrature(model, w: complex, split: float = SMALL_JUMP_SPLIT):
@@ -49,6 +53,39 @@ def jump_exponent_quadrature(model, w: complex, split: float = SMALL_JUMP_SPLIT)
             )
             total += coef * sgn**k * mom
     return total
+
+
+def custom_grid_jump_exponent(model, w):
+    """A custom model's jump exponent on the fixed grid it used before its
+    closed form: per side, 80 geometric panels of 10 Gauss-Legendre nodes
+    on [1e-4, max|knot| + 80 / |end slope|], plus Taylor moments of order
+    2 to 4 below 1e-4.  Accurate at moderate |w| only: the negative
+    control of the closed form."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
+    nodes, wts, mom = [], [], np.zeros(5)
+    for sgn, knots, logv in ((1.0, model.pos_knots, model.pos_logv),
+                             (-1.0, model.neg_knots, model.neg_logv)):
+        if not knots:
+            continue
+        order = np.argsort(np.abs(knots))
+        u, lv = np.abs(knots)[order], np.asarray(logv)[order]
+        slope = abs((lv[-1] - lv[-2]) / (u[-1] - u[-2]))
+        x_hi = float(u[-1]) + 80.0 / max(slope, 1e-3)
+        edges = np.geomspace(SMALL_JUMP_SPLIT, x_hi, 81)
+        for a, b in zip(edges[:-1], edges[1:]):
+            xs = sgn * (0.5 * (a + b) + 0.5 * (b - a) * gl_x)
+            nodes.append(xs)
+            wts.append(0.5 * (b - a) * gl_w * model.levy_density(xs))
+        for k in range(2, 5):
+            val, _ = integrate.quad(
+                lambda u, k=k: u**k * float(model.levy_density(np.array(sgn * u))),
+                0.0, SMALL_JUMP_SPLIT,
+            )
+            mom[k] += sgn**k * val
+    nodes, wts = np.concatenate(nodes), np.concatenate(wts)
+    iw = 1j * complex(w)
+    big = (np.exp(iw * nodes) - 1.0 - iw * nodes) @ wts
+    return big + iw**2 / 2.0 * mom[2] + iw**3 / 6.0 * mom[3] + iw**4 / 24.0 * mom[4]
 
 
 def sqrt_parts_transform(part: str, x: float, z: complex) -> complex:

@@ -37,6 +37,7 @@ from levyrep import (
     pide_residual,
 )
 from levyrep import fourier
+from levyrep.simulate import moments_from_psi
 
 T = 1.0
 
@@ -144,6 +145,35 @@ def test_density_normalizes(merton, nig, grid):
         ps = density_batch(model, grid, 0.0, T, ys)
         assert np.all(ps > -1e-12)
         assert abs(np.trapezoid(ps, ys) - 1.0) < 1e-6
+
+
+def _unit_mass(ps, ys):
+    return abs(np.trapezoid(ps, ys) - 1.0) < 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["merton", "nig"]),
+       u=st.tuples(*[st.floats(0.0, 1.0)] * 4), tau=st.floats(0.2, 1.0))
+def test_density_has_unit_mass_over_random_parameters(grid, kind, u, tau):
+    # parameters inside each family's domain with tails light enough for a
+    # finite window; the window spans 30 standard deviations (Merton's
+    # clusters of several jumps included), or 25 decay lengths of the NIG
+    # tail, and the step resolves the narrowest feature
+    if kind == "merton":
+        model = MertonModel(x0=0.0, mu=-0.1, sigma=0.1 + 0.4 * u[0], gamma=0.2 + 2.8 * u[1],
+                            m=-0.3 + 0.6 * u[2], delta=0.05 + 0.45 * u[3])
+        half, feature = 0.0, min(model.sigma * math.sqrt(tau), model.delta)
+    else:
+        a = 2.0 + 4.0 * u[0]
+        model = NIGModel(x0=0.0, mu=-0.1, sigma=0.0, a=a, b=a * (u[1] - 0.5),
+                         delta=0.5 + 1.5 * u[2])
+        half, feature = 25.0 / (model.a - abs(model.b)), model.delta * tau
+    mean, var, _, _ = moments_from_psi(model, tau)
+    half = max(half, 30.0 * math.sqrt(var))
+    ys = np.linspace(mean - half, mean + half, int(16.0 * half / feature) + 1)
+    ps = density_batch(model, grid, 0.0, tau, ys)
+    assert _unit_mass(ps, ys)
+    assert not _unit_mass(1.01 * ps, ys)  # negative control
 
 
 def test_density_scalar_matches_batch(merton, grid):

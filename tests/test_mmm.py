@@ -21,6 +21,9 @@ from levyrep import (
     psi_star,
     simulate,
 )
+from scipy import integrate
+
+from levyrep.simulate import moments_from_psi
 from oracles import jump_exponent_quadrature
 
 
@@ -51,6 +54,21 @@ def test_star_jump_exponent_vs_brute_quadrature(transform):
         closed = complex(star.jump_exponent(np.array(w, dtype=complex)))
         brute = jump_exponent_quadrature(star, w)
         assert abs(closed - brute) < 1e-7 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("name", ["merton", "nig"])
+def test_star_nu_moments_match_quadrature(request, name):
+    model = request.getfixturevalue(name)
+    star = build_mmm(MarketSpec(r=0.02, T=1.0, K=1.0, model=model)).star
+    moments = star.nu_moments()
+    assert moments[0] == star.nu_mean()
+    for k, m in zip((2, 3, 4), moments[1:]):
+        quad = sum(integrate.quad(lambda x: x**k * float(star.levy_density(np.array(x))),
+                                  a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                   for a, b in ((-40.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 40.0)))
+        assert m == pytest.approx(quad, rel=1e-10)
+    # the polynomial payoffs and the simulator's targets read these moments
+    assert moments_from_psi(star, 1.0)[1] == pytest.approx(star.sigma**2 + moments[1])
 
 
 def test_star_levy_density_is_tilted(transform, merton):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.stats import kstest, norm
 
 from levyrep import (
@@ -62,6 +63,16 @@ def test_nig_marks_small_jump_correction_default_on(nig):
     assert batch.scheme == "marks"
     # infinite-variation models get a Gaussian small-jump proxy by default
     assert np.any(batch.dB != 0.0)
+
+
+@pytest.mark.parametrize("fixture", ["merton", "vg", "nig"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.3])
+def test_mark_table_small_variance_matches_quad(request, fixture, eps):
+    # int_{|y| < eps} y^2 nu(dy), which scales the Gaussian small-jump proxy
+    model = request.getfixturevalue(fixture)
+    quad = sum(integrate.quad(lambda u, s=s: u * u * float(model.levy_density(np.array(s * u))),
+                              0.0, eps, epsabs=0.0, epsrel=1e-13)[0] for s in (1.0, -1.0))
+    assert build_mark_table(model, eps).small_var == pytest.approx(quad, rel=1e-9)
 
 
 def test_coarsen_preserves_noise(merton):
