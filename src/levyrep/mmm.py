@@ -125,15 +125,6 @@ class StarModel(LevyModel):
         scale = np.array([math.factorial(j) for j in k]) / r**k
         return (self.nu_mean(), *(float(v) for v in (scale * mk).real))
 
-    def nu_second_moment(self):
-        # int x^2 nu* = int x^2 nu - load int x^2 (e^x - 1) nu, where
-        # int x^2 e^{ux} nu = g''(u) for g(u) = int (e^{ux} - 1 - ux) nu
-        h = 1e-4
-        g = self.base.exp_jump_cumulant
-        m2 = self.base.nu_second_moment()
-        d2_at_1 = (g(1.0 + h) - 2.0 * g(1.0) + g(1.0 - h)) / h**2
-        return float(m2 - self.load * (d2_at_1 - m2))
-
     @property
     def is_finite_activity(self):
         return self.base.is_finite_activity
