@@ -12,9 +12,11 @@ operations are counted per workload, and bad runs are left out of the
 summary.  The output holds every run and, per workload and end-to-end metric
 of BENCHMARK.json, each side's median and quartiles, the number of pairs the
 change won (ties count for neither side) and whether the median gap exceeds
-the parent's inter-quartile range.  Each side also makes one traced run per
-workload at seed TRACE_SEED, whose per-layer metrics (node, point and call
-counts among them) are kept beside the timings, and each side's line count
+the parent's inter-quartile range.  Each side also makes TRACE_RUNS traced
+runs per workload at seed TRACE_SEED, the side that goes first alternating;
+every traced run is kept, with each side's median of every per-layer metric
+(node, point and call counts among them), so that one run under outside
+load cannot set the sign of a per-layer comparison.  Each side's line count
 of ``src/levyrep`` is recorded.  Every run lasts the ``run_seconds`` of
 BENCHMARK.json.  Standard library only.
 """
@@ -33,7 +35,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACE_SEED = 1  # seed of the one traced run per side and workload
+TRACE_SEED = 1  # seed of the traced runs
+TRACE_RUNS = 3  # traced runs per side and workload
 SIDES = ("parent", "change")
 
 
@@ -125,6 +128,27 @@ def summarise(pairs, metrics):
     return out
 
 
+def layer_medians(runs, metrics):
+    """Each side's median of every per-layer metric over its good traced
+    runs, None where it has none."""
+    out = {}
+    for side in SIDES:
+        out[side] = {}
+        for m in metrics:
+            values = [v for r in runs if (v := value(r[side], m["name"])) is not None]
+            out[side][m["name"]] = statistics.median(values) if values else None
+    return out
+
+
+def alternating(checkouts, workload, seed, seconds, trace, k):
+    """One run of each side, the parent first when k is even."""
+    order = SIDES if k % 2 == 0 else SIDES[::-1]
+    pair = {"seed": seed, "first": order[0]}
+    for side in order:
+        pair[side] = run_once(checkouts[side], workload, seed, seconds, trace)
+    return pair
+
+
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -151,19 +175,16 @@ def main(argv=None):
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for seed in args.seeds:
-                order = SIDES if k % 2 == 0 else SIDES[::-1]
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_once(checkouts[side], workload, seed, seconds, 0)
-                pairs.append(pair)
+                pairs.append(alternating(checkouts, workload, seed, seconds, 0, k))
                 k += 1
                 print(f"{workload} seed {seed}: pair {len(pairs)} done", file=sys.stderr)
-            traced = {side: run_once(checkouts[side], workload, TRACE_SEED, seconds, 1)
-                      for side in SIDES}
+            traced = [alternating(checkouts, workload, TRACE_SEED, seconds, 1, i)
+                      for i in range(TRACE_RUNS)]
             report["workloads"][workload] = {
                 "summary": summarise(pairs, spec["end_to_end"]),
                 "pairs": pairs,
                 "traced": traced,
+                "traced_medians": layer_medians(traced, spec["per_layer"]),
             }
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

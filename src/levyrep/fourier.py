@@ -47,12 +47,15 @@ x + y from one table).  It returns a float for a scalar point, an array of
 the input's shape otherwise.  Contour and fallback tables are tuned at
 ``_probe``, the distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points, and
 one refinement loop, ``_adapt``, refines every table.  The path drivers
-share one step loop (``representation._drive_paths``), whose tables share
-a cache for one driver call: on a fixed node set only e^{tau psi} depends
-on t, so the payoff transform, psi(i z_v) and the multipliers are kept per
-node set (``_NodeFactors``), with Re psi on the v_max ladder.  Node sets
-repeat only if omega does, so a driver's tables round omega up to a power
-of two; every other table keeps its exact omega.
+share one step loop (``representation._drive_paths``); its tables, and the
+rows of ``hedging.hedge_grid``, share a cache for one call: on a fixed node
+set only e^{tau psi} depends on t, so the payoff transform, psi(i z_v) and
+the multipliers are kept per node set (``_NodeFactors``), with Re psi on
+the v_max ladder, the transform factor of the truncation envelope and each
+panel layout (the edges for a (v_max, omega) pair and, per refinement
+level, the panels and both rules' nodes and weights).  Node sets repeat
+only if omega does, so a cached table rounds omega up to a power of two;
+every other table keeps its exact omega and builds its layout afresh.
 ``conditional_value_batch``, ``dF_dx_batch`` and ``density_batch`` are the
 same functions under their batch names.
 """
@@ -495,7 +498,7 @@ def make_multi_table(
     cache=None,
 ) -> MultiTable:
     """Adapt one contour node set until every multiplier's probe converges;
-    ``cache`` is a path driver's dict for these multipliers (module doc)."""
+    ``cache`` is one call's dict for these multipliers (module doc)."""
     if t >= T:
         raise DomainError("contour table needs t < T")
     if payoff.transform0 is None:
@@ -512,13 +515,12 @@ def make_multi_table(
         omega = math.ldexp(1.0, math.frexp(omega)[1])
     factors = {} if cache is None else cache
 
-    # payoff-scale constant for the truncation envelope
-    z_ref = 1j * 1.0 - alpha
-    cbar = float(
-        np.max(np.abs(z_ref * payoff.transform_contour(np.array([z_ref]))))
-        * np.max(np.exp(-alpha * x_probe))
-    )
-    cbar = max(cbar, 1e-30)
+    # payoff-scale constant for the truncation envelope; its transform factor
+    # does not depend on the points
+    if "cbar" not in factors:
+        z_ref = 1j * 1.0 - alpha
+        factors["cbar"] = np.max(np.abs(z_ref * payoff.transform_contour(np.array([z_ref]))))
+    cbar = max(float(factors["cbar"] * np.max(np.exp(-alpha * x_probe))), 1e-30)
 
     def envelope(v):
         zs = 1j * v - alpha
@@ -535,10 +537,14 @@ def make_multi_table(
             factors[key] = _NodeFactors(model, payoff, multipliers, 1j * vs - alpha)
         return factors[key].weights(tau, ws)
 
-    return _adapt(weighted, _panel_edges(v_max, omega), x_probe, alpha, grid, "contour")
+    layout = ("layout", v_max, omega)
+    if layout not in factors:
+        factors[layout] = (_panel_edges(v_max, omega), {})
+    edges, levels = factors[layout]
+    return _adapt(weighted, edges, x_probe, alpha, grid, "contour", MultiTable, levels)
 
 
-def _adapt(weighted, base_edges, probe, alpha, grid, what, table=MultiTable):
+def _adapt(weighted, base_edges, probe, alpha, grid, what, table=MultiTable, levels=None):
     """The one refinement loop of contour, density and fallback tables.
 
     Splits every panel of ``base_edges`` into 2^level pieces until the 16-
@@ -548,7 +554,8 @@ def _adapt(weighted, base_edges, probe, alpha, grid, what, table=MultiTable):
     on nodes vs with quadrature weights ws.  Returns the 24-point table, a
     ``table`` instance, with the probe error as its ``err_estimate`` and
     its sums at a copy of the probe points as its ``probe_sum``; the node
-    budget counts both halves of the spectrum.
+    budget counts both halves of the spectrum.  ``levels`` keeps each
+    level's panels, nodes and weights for the next table on ``base_edges``.
 
     The half sums are exact only for conjugate-symmetric weights,
     w(-v) = conj(w(v)).  The accepted level is checked at the mirror of one
@@ -557,16 +564,19 @@ def _adapt(weighted, base_edges, probe, alpha, grid, what, table=MultiTable):
     sum (|w(-v)| + |w(v)|) raises QuadratureError.
     """
     x = np.array(probe, dtype=float).ravel()
+    levels = {} if levels is None else levels
     prev = None
     for level in range(7):
-        edges = _split_edges(base_edges, 2**level)
-        if 2 * (edges.size - 1) * 24 > grid.max_nodes:
-            raise TruncationError(f"{what} node budget exhausted before convergence")
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        vs16, ws16 = _nodes_weights(mid, half, 16)
+        if level not in levels:
+            edges = _split_edges(base_edges, 2**level)
+            if 2 * (edges.size - 1) * 24 > grid.max_nodes:
+                raise TruncationError(f"{what} node budget exhausted before convergence")
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            levels[level] = (mid, half, *_nodes_weights(mid, half, 16),
+                             *_nodes_weights(mid, half, 24))
+        mid, half, vs16, ws16, vs24, ws24 = levels[level]
         p_lo = MultiTable(vs16, _stack(weighted(vs16, ws16)), alpha, mid, half).half_sum(x)
-        vs24, ws24 = _nodes_weights(mid, half, 24)
         hi = weighted(vs24, ws24)
         out = table(vs24, _stack(hi), alpha, mid, half)
         p_hi = out.half_sum(x)
@@ -791,7 +801,7 @@ def _probe(xs):
 def _contour(model, payoff, grid, t, x, T, multipliers, cache=None):
     """Every contour table is built here.  Returns (values, err_estimate)
     with one value per multiplier (None for F itself): a float for scalar x,
-    else an array of x's shape; ``cache`` is a path driver's.
+    else an array of x's shape; ``cache`` is one call's (module doc).
 
     The table is tuned at ``_probe`` of the points.  A constant payoff needs
     no table: F is the constant, every multiplier (derivatives, jump terms)

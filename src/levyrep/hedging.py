@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import config_count, config_number
 from .errors import DomainError, ParameterError
 from .fourier import (
     QuadratureGrid,
@@ -62,20 +63,29 @@ class HedgeComponents:
     err_estimate: float
 
 
-def _hedge_multipliers(market: MarketSpec, eps: float | None, with_comp: bool):
-    """Contour multipliers for (F*, kappa, nu-integral, Psi*-compensator)
-    under the star measure, up to the last one that exists (the compensator
-    only ``with_comp``, and over the full measure only for finite-variation
-    jumps).  The jump terms come from the physical jump exponent, of nu or
-    of its |y| >= eps part when the path scheme drops the smaller jumps."""
+def _hedge_terms(market: MarketSpec, transform: MmmTransform, grid: QuadratureGrid,
+                 eps: float | None, with_comp: bool):
+    """The hedge's contour evaluation, with the star-measure digital payoff
+    and the multipliers built once, so that its calls can share a table
+    cache: ``evaluate(t, xs, cache=None)`` gives ([F*, kappa, nu-integral,
+    Psi*-compensator], err) at the states xs, zeros for the terms the model
+    lacks (the compensator exists only ``with_comp``, and over the full
+    measure only for finite-variation jumps).  The jump terms come from the
+    physical jump exponent, of nu or of its |y| >= eps part when the path
+    scheme drops the smaller jumps."""
     model = market.model
+    payoff = digital_payoff(market.strike_level(), alpha=grid.alpha)
     mults = [None, _mult_dx]
-    if isinstance(model, BrownianModel):
-        return mults
-    mults.append(_mult_nu_exp(model, eps))
-    if with_comp and (eps is not None or model.has_finite_variation_jumps):
-        mults.append(_mult_nu(model, eps))
-    return mults
+    if not isinstance(model, BrownianModel):
+        mults.append(_mult_nu_exp(model, eps))
+        if with_comp and (eps is not None or model.has_finite_variation_jumps):
+            mults.append(_mult_nu(model, eps))
+
+    def evaluate(t, xs, cache=None):
+        vals, err = _contour(transform.star, payoff, grid, t, xs, market.T, mults, cache)
+        return [*vals, *[_full(xs, 0.0)] * (4 - len(vals))], err
+
+    return evaluate
 
 
 def hedge_components_batch(
@@ -95,10 +105,8 @@ def hedge_components_batch(
     """
     if not t < market.T:
         raise DomainError("hedge components need t < T")
-    payoff = digital_payoff(market.strike_level(), alpha=grid.alpha)
-    mults = _hedge_multipliers(market, eps, with_psi_compensator)
-    vals, err = _contour(transform.star, payoff, grid, t, xs, market.T, mults)
-    return (*vals, *[_full(xs, 0.0)] * (4 - len(vals)), err)
+    vals, err = _hedge_terms(market, transform, grid, eps, with_psi_compensator)(t, xs)
+    return (*vals, err)
 
 
 def _lrm_ratio(market: MarketSpec, transform: MmmTransform, s_hat, kappa, nu_int):
@@ -143,23 +151,25 @@ def hedge_grid(
     """Hedge-ratio term structure on a (t, S) grid, log-spaced in S around K.
 
     Returns a list of rows (t, S, xi, kappa, nu_integral, err_estimate).
+    The rows share one table cache (``fourier``); the counts must be
+    integers >= 1 and 0 < s_lo < s_hi < inf.
     """
-    if s_lo is None:
-        s_lo = 0.5 * market.K
-    if s_hi is None:
-        s_hi = 2.0 * market.K
+    n_t = config_count("n_t", n_t, "hedge_grid")
+    n_s = config_count("n_s", n_s, "hedge_grid")
+    s_lo = config_number("s_lo", 0.5 * market.K if s_lo is None else s_lo, "hedge_grid")
+    s_hi = config_number("s_hi", 2.0 * market.K if s_hi is None else s_hi, "hedge_grid")
+    if not 0.0 < s_lo < s_hi:
+        raise ParameterError(f"hedge_grid needs 0 < s_lo < s_hi, got {s_lo:g} and {s_hi:g}")
     ts = np.linspace(0.0, 0.98 * market.T, n_t)
     ss = np.geomspace(s_lo, s_hi, n_s)
-    rows = []
-    for t in ts:
-        xs = np.log(ss) - market.r * t  # X_t with S_t = e^{rt + X_t}
-        _, kappa, nu_int, _, err = hedge_components_batch(
-            market, transform, grid, t, xs
-        )
-        xi = _lrm_ratio(market, transform, np.exp(xs), kappa, nu_int)
-        for s, k_, n_, x_ in zip(ss, kappa, nu_int, xi):
-            rows.append((float(t), float(s), float(x_), float(k_), float(n_), err))
-    return rows
+    xs = np.log(ss) - market.r * ts[:, None]  # X_t with S_t = e^{rt + X_t}
+    evaluate, cache = _hedge_terms(market, transform, grid, None, False), {}
+    terms = [evaluate(t, x, cache) for t, x in zip(ts, xs)]
+    kappa, nu_int = (np.array([vals[j] for vals, _ in terms]) for j in (1, 2))
+    xi = _lrm_ratio(market, transform, np.exp(xs), kappa, nu_int)
+    cols = (np.repeat(ts, n_s), np.tile(ss, n_t), xi, kappa, nu_int,
+            np.repeat([err for _, err in terms], n_s))
+    return list(zip(*(np.ravel(c).tolist() for c in cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +200,10 @@ def fs_path_study(
     disc = math.exp(-market.r * market.T)
     m1_exp = exp_jump_mean(model, eps)
     n, n_steps, dt = batch.n_paths, batch.n_steps, batch.dt
-    payoff = digital_payoff(market.strike_level(), alpha=grid.alpha)
-    mults = _hedge_multipliers(market, eps, True)
-
-    def evaluate(t, pts, cache):  # hedge_components_batch, sharing the cache
-        vals, _ = _contour(transform.star, payoff, grid, t, pts, market.T, mults, cache)
-        return vals + [_full(pts, 0.0)] * (4 - len(vals))
+    evaluate = _hedge_terms(market, transform, grid, eps, True)
 
     gains, l_fs, bracket, h0 = np.zeros((4, n))
-    steps = _drive_paths(batch, evaluate)
+    steps = _drive_paths(batch, lambda t, pts, cache: evaluate(t, pts, cache)[0])
     for k, xk, jp, jy, (F, kappa, nu_int, psi_comp), psi_star_j in steps:
         s_hat = np.exp(xk)
         if k == 0:

@@ -9,7 +9,8 @@ Every model exposes the compensated-jump exponent
 forms; a custom density is log-linear between its knots, so each of its
 pieces integrates exactly.  The integrals the checkers report (the
 exponential tail and the truncated |x|-moment) use Gauss-Legendre panels
-that grow geometrically away from the origin.
+that grow geometrically away from the origin, with nu in logs
+(``log_levy_density``): e^{alpha x} nu stays exact where nu underflows.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ class LevyModel:
 
     def levy_density(self, x):
         raise NotImplementedError
+
+    def log_levy_density(self, x):
+        """log nu(x), -inf where nu is 0 or negative; the closed forms of
+        the model kinds stay finite where nu itself underflows."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(self.levy_density(x), 0.0))
 
     def jump_exponent(self, w):
         """int (e^{iwx} - 1 - iwx) nu(dx), vectorized over complex w."""
@@ -165,6 +172,11 @@ class MertonModel(LevyModel):
             * np.exp(-((x - self.m) ** 2) / (2.0 * self.delta**2))
         )
 
+    def log_levy_density(self, x):
+        x = np.asarray(x, dtype=float)
+        return (math.log(self.gamma / (math.sqrt(2.0 * math.pi) * self.delta))
+                - (x - self.m) ** 2 / (2.0 * self.delta**2))
+
     def jump_exponent(self, w):
         w = _as_complex(w)
         return self.gamma * (
@@ -222,6 +234,15 @@ class VGModel(LevyModel):
         neg = x < 0
         out[pos] = self.C * np.exp(-self.M * x[pos]) / x[pos]
         out[neg] = self.C * np.exp(self.G * x[neg]) / (-x[neg])
+        return out
+
+    def log_levy_density(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, -np.inf)
+        pos = x > 0
+        neg = x < 0
+        out[pos] = math.log(self.C) - self.M * x[pos] - np.log(x[pos])
+        out[neg] = math.log(self.C) + self.G * x[neg] - np.log(-x[neg])
         return out
 
     def jump_exponent(self, w):
@@ -292,6 +313,15 @@ class NIGModel(LevyModel):
             * k1e(self.a * ax[nz])
             / ax[nz]
         )
+        return out
+
+    def log_levy_density(self, x):
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        out = np.full_like(x, -np.inf)
+        nz = ax > 0
+        out[nz] = (math.log(self.delta * self.a / math.pi) + self.b * x[nz] - self.a * ax[nz]
+                   + np.log(k1e(self.a * ax[nz]) / ax[nz]))
         return out
 
     def jump_exponent(self, w):
@@ -446,13 +476,16 @@ class CustomModel(LevyModel):
         object.__setattr__(self, "_moments", moments)
 
     def levy_density(self, x):
+        return np.exp(self.log_levy_density(x))
+
+    def log_levy_density(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        out = np.full_like(x, -np.inf)
         for sgn, (a, _, log_a, slope) in self._sides:
             sel = sgn * x > 0
             u = sgn * x[sel]
             j = np.searchsorted(a, u, side="right") - 1
-            out[sel] = np.exp(log_a[j] + slope[j] * (u - a[j]))
+            out[sel] = log_a[j] + slope[j] * (u - a[j])
         return out
 
     def jump_exponent(self, w):
@@ -534,12 +567,13 @@ def geometric_panels(lo: float, hi: float, n_panels: int, order: int):
 
 
 def _nu_rule(model: LevyModel, sgn: float, lo: float, hi: float):
-    """Nodes x on [lo, hi] and their weights times nu(sgn x), negative
-    density values counting as 0, for NU_PANELS_PER_OCTAVE panels per
-    doubling of x."""
+    """Nodes x on [lo, hi] and the logs of their weights times nu(sgn x),
+    -inf where nu is 0 or negative, for NU_PANELS_PER_OCTAVE panels per
+    doubling of x.  In logs, e^{alpha x} nu stays exact where nu alone
+    underflows."""
     n_panels = max(1, math.ceil(NU_PANELS_PER_OCTAVE * math.log2(hi / lo)))
     xs, ws = geometric_panels(lo, hi, n_panels, NU_PANEL_ORDER)
-    return xs, ws * np.maximum(model.levy_density(sgn * xs), 0.0)
+    return xs, np.log(ws) + model.log_levy_density(sgn * xs)
 
 
 def check_exponential_moment(model: LevyModel, alpha: float) -> MomentCheck:
@@ -553,10 +587,8 @@ def check_exponential_moment(model: LevyModel, alpha: float) -> MomentCheck:
         return MomentCheck(True, alpha, 0.0, "no jump component")
     val = 0.0
     for sgn in (1.0, -1.0):
-        xs, ws = _nu_rule(model, sgn, 1.0, nu_tail_cutoff(model, sgn, 1.0, alpha))
-        # e^{alpha x} nu in logs: nu may underflow where e^{alpha x} overflows
-        with np.errstate(divide="ignore"):
-            val += float(np.exp(np.log(ws) + alpha * sgn * xs).sum())
+        xs, log_ws = _nu_rule(model, sgn, 1.0, nu_tail_cutoff(model, sgn, 1.0, alpha))
+        val += float(np.exp(log_ws + alpha * sgn * xs).sum())
     return MomentCheck(True, alpha, val, f"tail integral {val:.6g}")
 
 
@@ -692,12 +724,12 @@ def check_assumption1(model: LevyModel, alpha: float, t: float = 0.0,
 
 def nu_tail_cutoff(model: LevyModel, sgn: float, eps: float, alpha: float = 0.0) -> float:
     """Where the sgn side of nu is cut for integrals over |y| >= eps against
-    e^{alpha y}: from max(1, 4 eps), doubled until nu is 0 or the log of
-    e^{alpha y} nu is below -50 there, or the cap 1e4 is reached."""
+    e^{alpha y}: from max(1, 4 eps), doubled until the log of e^{alpha y} nu
+    (``log_levy_density``, -inf where nu is 0) is below -50 there, or the cap
+    1e4 is reached."""
     hi = max(1.0, 4.0 * eps)
     while hi < 1e4:
-        d = float(model.levy_density(np.array(sgn * hi)))
-        if d <= 0.0 or math.log(max(d, 1e-300)) + alpha * sgn * hi < -50.0:
+        if float(model.log_levy_density(np.array(sgn * hi))) + alpha * sgn * hi < -50.0:
             break
         hi *= 2.0
     return hi
@@ -708,8 +740,8 @@ def truncated_abs_moment(model: LevyModel, eps: float, hi: float = 1.0) -> float
     differentiability classifier."""
     total = 0.0
     for sgn in (1.0, -1.0):
-        xs, ws = _nu_rule(model, sgn, eps, hi)
-        total += float(xs @ ws)
+        xs, log_ws = _nu_rule(model, sgn, eps, hi)
+        total += float(xs @ np.exp(log_ws))
     return total
 
 

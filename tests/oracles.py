@@ -1,6 +1,7 @@
 """Independent oracles that the tests compare the package against: quadrature
 for the closed-form jump exponent and square-root payoff transforms, the
 fixed quadrature grid that custom models used before their closed form, the
+density-based tail rule of the moment check before its log form, the
 large-argument form of K1, path simulation by plain argsort, np.interp and a
 2-D np.add.at, the contour half sum node by node, the probe points by
 np.quantile, and the per-step loops of replication and of the FS study with
@@ -14,7 +15,7 @@ from scipy import integrate
 from levyrep.errors import DomainError, ParameterError, QuadratureError
 from levyrep.hedging import _lrm_ratio, hedge_components_batch
 from levyrep.mmm import exp_jump_mean
-from levyrep.models import MertonModel
+from levyrep.models import NU_PANEL_ORDER, NU_PANELS_PER_OCTAVE, MertonModel, geometric_panels
 from levyrep.simulate import build_mark_table
 
 # the brute-force jump exponent integrates below this |x| by a Taylor series
@@ -131,6 +132,34 @@ def k1_asymptotic(x):
     at large arguments."""
     x = np.asarray(x, dtype=float)
     return np.exp(-x) * np.sqrt(np.pi / (2.0 * x))
+
+
+def density_tail_cutoff(model, sgn, eps, alpha=0.0):
+    """``models.nu_tail_cutoff`` as it was before ``log_levy_density``: it
+    stops where ``levy_density`` underflows to 0 even when e^{alpha y} nu
+    is still far from negligible."""
+    hi = max(1.0, 4.0 * eps)
+    while hi < 1e4:
+        d = float(model.levy_density(np.array(sgn * hi)))
+        if d <= 0.0 or math.log(max(d, 1e-300)) + alpha * sgn * hi < -50.0:
+            break
+        hi *= 2.0
+    return hi
+
+
+def density_exponential_tail(model, alpha):
+    """int_{|x| >= 1} e^{alpha x} nu(dx) by the rule ``check_exponential_moment``
+    used before ``log_levy_density``: the same panels, with nu from
+    ``levy_density`` and the density-based cutoff."""
+    val = 0.0
+    for sgn in (1.0, -1.0):
+        hi = density_tail_cutoff(model, sgn, 1.0, alpha)
+        n_panels = max(1, math.ceil(NU_PANELS_PER_OCTAVE * math.log2(hi)))
+        xs, ws = geometric_panels(1.0, hi, n_panels, NU_PANEL_ORDER)
+        ws = ws * np.maximum(model.levy_density(sgn * xs), 0.0)
+        with np.errstate(divide="ignore"):
+            val += float(np.exp(np.log(ws) + alpha * sgn * xs).sum())
+    return val
 
 
 def simulate_reference(model, T, n_steps, n_paths, seed, scheme="exact", eps_jump=1e-3,

@@ -429,6 +429,20 @@ def test_digital_value_in_unit_interval_and_monotone(x, dx):
     assert hi >= lo - 1e-9
 
 
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["merton", "nig"]), t=st.floats(0.0, 0.9),
+       x=st.floats(-0.5, 0.5), c=st.floats(-0.5, 0.5))
+def test_digital_value_translates_with_the_strike(merton, nig, grid, kind, t, x, c):
+    # F(t, x; c) = F(t, x - c; 0) to the tables' tolerance; negative
+    # control: the strike moved by 0.1
+    model = merton if kind == "merton" else nig
+    value = conditional_value(model, digital_payoff(c, alpha=1.0), grid, t, x, T)
+    at_zero = digital_payoff(0.0, alpha=1.0)
+    tol = 2.0 * grid.tol * (1.0 + 2.0 * math.pi)
+    assert abs(value - conditional_value(model, at_zero, grid, t, x - c, T)) <= tol
+    assert abs(value - conditional_value(model, at_zero, grid, t, x - c - 0.1, T)) > tol
+
+
 def test_pointwise_operations_keep_array_shape(merton, nig, grid):
     payoff = digital_payoff(0.0, alpha=1.0)
     xs = np.array([[-0.5, 0.0, 0.5], [0.1, 0.2, 0.3]])

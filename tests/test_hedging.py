@@ -10,6 +10,7 @@ from scipy.stats import norm
 from levyrep import (
     MarketSpec,
     NIGModel,
+    ParameterError,
     build_mmm,
     conditional_value,
     digital_payoff,
@@ -101,6 +102,16 @@ def test_hedge_grid_shape(merton_market, merton_transform, grid):
     assert ss[0] == pytest.approx(0.5 * merton_market.K)
     assert ss[-1] == pytest.approx(2.0 * merton_market.K)
     assert all(np.isfinite(r[2:]).all() for r in (np.array(r) for r in rows))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"s_lo": 0.0}, {"s_lo": -0.5}, {"s_hi": math.nan}, {"s_hi": math.inf},
+    {"s_lo": 1.5, "s_hi": 1.2}, {"s_lo": 1.2, "s_hi": 1.2}, {"n_t": 2.5}, {"n_s": 0},
+], ids=["zero-s_lo", "negative-s_lo", "nan-s_hi", "inf-s_hi", "reversed", "equal",
+        "fractional-n_t", "zero-n_s"])
+def test_hedge_grid_rejects_bad_input(merton_market, merton_transform, grid, kwargs):
+    with pytest.raises(ParameterError):
+        hedge_grid(merton_market, merton_transform, grid, **{"n_t": 3, "n_s": 4, **kwargs})
 
 
 def test_complete_market_orthogonal_part_vanishes(brownian_market, brownian_transform, grid):

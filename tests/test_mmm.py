@@ -1,6 +1,7 @@
 """Minimal martingale measure: load constants, tilted triplet, density."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from levyrep import (
     AssumptionError,
     MarketSpec,
     MertonModel,
+    NIGModel,
     ParameterError,
     QuadratureGrid,
     VGModel,
@@ -167,3 +169,23 @@ def test_martingale_identity_random_merton(sigma, gamma, m, delta, frac):
     model = MertonModel(x0=0.0, mu=mu, sigma=sigma, gamma=g, m=m, delta=delta)
     transform = build_mmm(MarketSpec(r=0.0, T=1.0, K=1.0, model=model))
     assert abs(psi_star(transform, -1j)) < 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["nig", "vg"]), u=st.tuples(*[st.floats(0.0, 1.0)] * 4))
+def test_martingale_identity_random_nig_and_vg(kind, u):
+    # parameters with C2 finite (strip upper end >= 2.2) and the drift placed
+    # so that mu_hat = -frac C2, inside the interval build_mmm accepts
+    if kind == "nig":
+        a = 2.5 + 5.5 * u[0]
+        base = NIGModel(x0=0.0, mu=0.0, sigma=0.0, a=a, b=-0.8 * a + u[1] * (1.8 * a - 2.2),
+                        delta=0.2 + 1.8 * u[2])
+    else:
+        base = VGModel(x0=0.0, mu=0.0, sigma=0.0, C=0.2 + 2.8 * u[0], G=1.0 + 9.0 * u[1],
+                       M=2.2 + 7.8 * u[2])
+    frac = 0.05 + 0.9 * u[3]
+    model = replace(base, mu=-frac * base.c2() - base.exp_jump_cumulant(1.0))
+    star = build_mmm(MarketSpec(r=0.0, T=1.0, K=1.0, model=model)).star
+    assert abs(complex(star.psi(np.array(-1j)))) < 1e-10
+    # negative control: the star drift moved by 0.01
+    assert abs(complex(replace(star, mu=star.mu + 0.01).psi(np.array(-1j)))) > 1e-10

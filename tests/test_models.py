@@ -15,6 +15,7 @@ from levyrep import (
     NIGModel,
     ParameterError,
     VGModel,
+    build_mmm,
     check_assumption1,
     check_exponential_moment,
     model_from_dict,
@@ -23,9 +24,15 @@ from levyrep.malliavin import EPS_SEQUENCE
 from levyrep.models import (
     CustomModel,
     characteristic_function,
+    nu_tail_cutoff,
     truncated_abs_moment,
 )
-from oracles import custom_grid_jump_exponent, jump_exponent_quadrature
+from oracles import (
+    custom_grid_jump_exponent,
+    density_exponential_tail,
+    density_tail_cutoff,
+    jump_exponent_quadrature,
+)
 
 ALL = ["merton", "vg", "nig", "brownian"]
 
@@ -288,6 +295,46 @@ def test_tail_integral_matches_quad(rule_models, name, alphas):
                 lambda x, s=sgn: _exp_weighted_density(model, alpha, s * x), 1.0, 2.0**20)
             for sgn in (1.0, -1.0))
         assert check_exponential_moment(model, alpha).tail_integral == pytest.approx(quad, rel=1e-9)
+
+
+def _exp_weighted_log_density(model, alpha, x):
+    return math.exp(alpha * x + float(model.log_levy_density(np.array(x))))
+
+
+@pytest.mark.parametrize("alpha", [3.9, 3.99])
+def test_tail_integral_near_the_strip_edge(nig, alpha):
+    # below the NIG strip edge a - b = 4, e^{alpha x} nu decays slowly where
+    # nu itself underflows (x ~ 180); negative control: the rule with nu from
+    # levy_density, cut where nu underflows, drops the far tail
+    quad = sum(
+        _quad_by_octaves(lambda x, s=sgn: _exp_weighted_log_density(nig, alpha, s * x),
+                         1.0, 2.0**20)
+        for sgn in (1.0, -1.0))
+    assert check_exponential_moment(nig, alpha).tail_integral == pytest.approx(quad, rel=1e-9)
+    if alpha == 3.99:
+        assert abs(density_exponential_tail(nig, alpha) / quad - 1.0) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["merton", "vg", "nig", "kou", "star"])
+def test_log_levy_density_is_the_log_of_the_density(rule_models, merton_market, name):
+    model = build_mmm(merton_market).star if name == "star" else rule_models[name]
+    x = np.array([-60.0, -8.0, -1.0, -0.3, -1e-3, 0.0, 1e-3, 0.02, 0.3, 1.0, 8.0, 60.0])
+    d = model.levy_density(x)
+    got = model.log_levy_density(x)
+    normal = d >= np.finfo(float).tiny
+    assert np.allclose(got[normal], np.log(d[normal]), rtol=1e-13, atol=1e-13)
+    assert np.all(got[~normal] < math.log(np.finfo(float).tiny))
+    assert np.isneginf(BrownianModel(sigma=0.2).log_levy_density(x)).all()
+
+
+def test_tail_cutoffs_at_zero_alpha_are_unchanged(rule_models, merton_market):
+    # the mark tables and truncated_nu_nodes cut nu at alpha = 0; there the
+    # log rule must stop where the density rule did
+    models = [*rule_models.values(), build_mmm(merton_market).star]
+    for model in models:
+        for sgn in (1.0, -1.0):
+            for eps in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0):
+                assert nu_tail_cutoff(model, sgn, eps) == density_tail_cutoff(model, sgn, eps)
 
 
 @pytest.mark.parametrize("name", ["merton", "vg", "nig", "kou"])

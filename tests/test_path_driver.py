@@ -1,6 +1,7 @@
 """Jump layout of path batches and the per-step driver over it."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from oracles import fs_reference, replicate_reference
 
 from levyrep import (
+    MarketSpec,
     SchemeError,
     build_integrands,
     build_mmm,
@@ -105,7 +107,8 @@ def test_states_do_not_depend_on_the_jump_layout(batches, merton, nig):
 
 
 # ---------------------------------------------------------------------------
-# the driver's per-call cache of t-independent factors
+# the per-call cache of t-independent factors: the path drivers and the
+# rows of hedge_grid
 
 
 @pytest.fixture(scope="module")
@@ -113,18 +116,43 @@ def merton_transform(merton_market):
     return build_mmm(merton_market)
 
 
+GRID_SHAPE = (12, 15)  # rows x points of the hedge-grid cases
+
+
+def _grid_runs(name, merton, nig, grid):
+    """(star model, hedge_grid call, one uncached hedge_components_batch
+    table per row) of a case "grid-<model>-<strike>"."""
+    _, kind, K = name.split("-")
+    market = MarketSpec(r=0.02 if kind == "merton" else 0.0, T=T, K=float(K),
+                        model=merton if kind == "merton" else nig)
+    transform = build_mmm(market)
+    n_t, n_s = GRID_SHAPE
+
+    def reference():
+        ss = np.geomspace(0.5 * market.K, 2.0 * market.K, n_s)
+        for t in np.linspace(0.0, 0.98 * T, n_t):
+            hedging.hedge_components_batch(market, transform, grid, t,
+                                           np.log(ss) - market.r * t)
+
+    return (transform.star, lambda: hedging.hedge_grid(market, transform, grid, n_t, n_s),
+            reference)
+
+
 def _runs(name, batches, merton, nig, grid, merton_market, merton_transform):
-    """(batch, driver call, uncached reference loop) of one case."""
+    """(the model whose psi the tables call, driver call, uncached reference
+    loop) of one case."""
+    if name.startswith("grid"):
+        return _grid_runs(name, merton, nig, grid)
     if name == "fs":
         batch = batches["merton-exact"]
-        return (batch,
+        return (merton_transform.star,
                 lambda: hedging.fs_path_study(merton_market, merton_transform, grid, batch),
                 lambda: fs_reference(merton_market, merton_transform, grid, batch))
     batch = batches[name]
     model = merton if name == "merton-exact" else nig
     ints = build_integrands(model, digital_payoff(0.0, alpha=1.0), grid, T,
                             nu_eps=batch.eps_jump if batch.scheme == "marks" else None)
-    return (batch, lambda: replicate_batch(ints, batch),
+    return (model, lambda: replicate_batch(ints, batch),
             lambda: replicate_reference(ints, batch))
 
 
@@ -162,15 +190,17 @@ def _worst_step_misfit(monkeypatch, driver, reference, grid):
     return worst
 
 
-CASES = ["merton-exact", "nig-marks", "fs"]
+CASES = ["merton-exact", "nig-marks", "fs",
+         "grid-merton-0.9", "grid-merton-1.1", "grid-nig-0.9", "grid-nig-1.1"]
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_driver_steps_match_uncached_tables(name, batches, merton, nig, grid, merton_market,
                                             merton_transform, monkeypatch):
-    """F, dF/dx and the compensator (replication), or F*, kappa, the
-    nu-integral and the Psi*-compensator (FS), at every step agree with one
-    uncached table per step at the same points."""
+    """F, dF/dx and the compensator (replication), F*, kappa, the
+    nu-integral and the Psi*-compensator (FS), or F*, kappa and the
+    nu-integral (hedge grid) at every step or row agree with one uncached
+    table per step or row at the same points."""
     _, driver, reference = _runs(name, batches, merton, nig, grid, merton_market,
                                  merton_transform)
     assert _worst_step_misfit(monkeypatch, driver, reference, grid) <= 1.0
@@ -214,9 +244,9 @@ def test_psi_reaches_each_node_set_once_per_call(name, batches, merton, nig, gri
                                                  merton_market, merton_transform, monkeypatch):
     """Within one driver call psi is evaluated once per point set (the v_max
     ladder, each layout at each order); the uncached loop repeats them."""
-    batch, driver, reference = _runs(name, batches, merton, nig, grid, merton_market,
+    model, driver, reference = _runs(name, batches, merton, nig, grid, merton_market,
                                      merton_transform)
-    cls = type(merton_transform.star if name == "fs" else batch.model)
+    cls = type(model)
     driven = _psi_points(monkeypatch, cls, driver)
     assert driven and len(set(driven)) == len(driven)
     ref = _psi_points(monkeypatch, cls, reference)
@@ -227,10 +257,59 @@ def test_psi_reaches_each_node_set_once_per_call(name, batches, merton, nig, gri
 @pytest.mark.parametrize("name", CASES)
 def test_driver_calls_share_no_state(name, batches, merton, nig, grid, merton_market,
                                      merton_transform):
-    """Two calls on one batch give equal outputs: the cache lives for one
-    call only."""
+    """Two calls on one batch, or two grids, give equal outputs: the cache
+    lives for one call only."""
     _, driver, _ = _runs(name, batches, merton, nig, grid, merton_market, merton_transform)
     first, second = driver(), driver()
+    if name.startswith("grid"):
+        assert first == second
+        return
     keys = ("l_fs", "gains", "bracket") if name == "fs" else ("replication",)
     for key in keys:
         assert np.array_equal(first[key], second[key]), key
+
+
+def _layout_work(monkeypatch, call):
+    """(v_max, omega) of every ``_panel_edges`` call in call(), how many
+    layouts gave each edge array, the ``_split_edges`` calls per (edges,
+    pieces) and the orders of the ``_nodes_weights`` calls."""
+    pairs, layouts, splits, orders = [], Counter(), Counter(), []
+    panel_edges, split_edges, nodes_weights = (
+        fourier._panel_edges, fourier._split_edges, fourier._nodes_weights)
+
+    def edges(v_max, omega):
+        out = panel_edges(v_max, omega)
+        pairs.append((v_max, omega))
+        layouts[out.tobytes()] += 1
+        return out
+
+    def split(base, k):
+        splits[base.tobytes(), k] += 1
+        return split_edges(base, k)
+
+    def nodes(mid, half, order):
+        orders.append(order)
+        return nodes_weights(mid, half, order)
+
+    with monkeypatch.context() as m:
+        m.setattr(fourier, "_panel_edges", edges)
+        m.setattr(fourier, "_split_edges", split)
+        m.setattr(fourier, "_nodes_weights", nodes)
+        call()
+    return pairs, layouts, splits, orders
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_layouts_are_built_once_per_call(name, batches, merton, nig, grid, merton_market,
+                                         merton_transform, monkeypatch):
+    """Within one call the edges are built once per (v_max, omega) layout,
+    and the panels, nodes and weights once per layout, refinement level and
+    order; the uncached loop builds them again for every table."""
+    _, driver, reference = _runs(name, batches, merton, nig, grid, merton_market,
+                                 merton_transform)
+    pairs, layouts, splits, orders = _layout_work(monkeypatch, driver)
+    assert pairs and len(set(pairs)) == len(pairs)
+    assert all(n == layouts[base] for (base, _), n in splits.items())
+    assert Counter(orders) == {16: splits.total(), 24: splits.total()}
+    ref_pairs, _, ref_splits, _ = _layout_work(monkeypatch, reference)
+    assert len(ref_pairs) > len(pairs) and ref_splits.total() > splits.total()

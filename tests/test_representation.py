@@ -192,5 +192,25 @@ def test_theta_lipschitz_near_zero_jump(y):
     assert abs(val) <= 2.0 * max(slope, 0.1) * y
 
 
+@pytest.fixture(scope="module")
+def digital_ints(merton, nig, grid):
+    payoff = digital_payoff(0.0, alpha=1.0)
+    return {"merton": build_integrands(merton, payoff, grid, T),
+            "nig-marks": build_integrands(nig, payoff, grid, T, nu_eps=1e-3)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["merton", "nig-marks"]), s=st.floats(0.0, 0.9),
+       x=st.floats(-0.3, 0.3), y=st.floats(-0.3, 0.3))
+def test_theta_is_value_difference_over_random_states(digital_ints, grid, kind, s, x, y):
+    # theta from one table at [x, x + y], F from a table per point, each to
+    # grid.tol (1 + 2 pi |F|); negative control: the jump moved by 0.05
+    ints = digital_ints[kind]
+    theta = ints.theta(s, x, y)
+    tol = 3.0 * grid.tol * (1.0 + 2.0 * np.pi)
+    assert abs(theta - (ints.value(s, x + y) - ints.value(s, x))) <= tol
+    assert abs(theta - (ints.value(s, x + y + 0.05) - ints.value(s, x))) > tol
+
+
 def test_theta_vanishes_at_zero_jump(merton_ints):
     assert merton_ints.theta(0.5, 0.2, 0.0) == 0.0
