@@ -16,8 +16,11 @@ the parent's inter-quartile range.  Each side also makes TRACE_RUNS traced
 runs per workload at seed TRACE_SEED, the side that goes first alternating;
 every traced run is kept, with each side's median of every per-layer metric
 (node, point and call counts among them), so that one run under outside
-load cannot set the sign of a per-layer comparison.  Each side's line count
-of ``src/levyrep`` is recorded.  Every run lasts the ``run_seconds`` of
+load cannot set the sign of a per-layer comparison.  The traced counts are
+deterministic, so each workload also lists as ``counts_changed`` the
+per-layer metrics of unit ``count`` whose traced medians differ between the
+sides: empty when a change does the same work.  Each side's line count of
+``src/levyrep`` is recorded.  Every run lasts the ``run_seconds`` of
 BENCHMARK.json.  Standard library only.
 """
 
@@ -140,6 +143,13 @@ def layer_medians(runs, metrics):
     return out
 
 
+def counts_changed(medians, metrics):
+    """The per-layer metrics of unit count whose medians differ between
+    the sides."""
+    return [m["name"] for m in metrics
+            if m["unit"] == "count" and medians["parent"][m["name"]] != medians["change"][m["name"]]]
+
+
 def alternating(checkouts, workload, seed, seconds, trace, k):
     """One run of each side, the parent first when k is even."""
     order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -180,11 +190,13 @@ def main(argv=None):
                 print(f"{workload} seed {seed}: pair {len(pairs)} done", file=sys.stderr)
             traced = [alternating(checkouts, workload, TRACE_SEED, seconds, 1, i)
                       for i in range(TRACE_RUNS)]
+            medians = layer_medians(traced, spec["per_layer"])
             report["workloads"][workload] = {
                 "summary": summarise(pairs, spec["end_to_end"]),
                 "pairs": pairs,
                 "traced": traced,
-                "traced_medians": layer_medians(traced, spec["per_layer"]),
+                "traced_medians": medians,
+                "counts_changed": counts_changed(medians, spec["per_layer"]),
             }
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

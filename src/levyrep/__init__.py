@@ -39,11 +39,9 @@ from .payoffs import (
 from .fourier import (
     QuadratureGrid,
     conditional_value,
-    conditional_value_batch,
     d2F_dx2,
     dF_dt,
     dF_dx,
-    dF_dx_batch,
     density,
     density_batch,
     grid_from_dict,
@@ -92,8 +90,7 @@ __all__ = [
     "polynomial_payoff", "constant_payoff", "sqrt_abs_decomposition",
     "check_assumption2", "payoff_from_dict",
     # fourier engine
-    "QuadratureGrid", "grid_from_dict", "conditional_value",
-    "conditional_value_batch", "dF_dx", "dF_dx_batch", "d2F_dx2", "dF_dt",
+    "QuadratureGrid", "grid_from_dict", "conditional_value", "dF_dx", "d2F_dx2", "dF_dt",
     "jump_difference", "jump_compensator", "pide_residual", "density",
     "density_batch",
     # representation

@@ -239,8 +239,7 @@ def _cmd_verify_replication(args, config: dict) -> int:
     scheme, eps = _sim_from(config)
     batch = simulate(model, T, args.steps, args.paths, seed=args.seed,
                      scheme=scheme, eps_jump=eps)
-    nu_eps = eps if scheme == "marks" else None
-    ints = build_integrands(model, payoff, grid, T, nu_eps=nu_eps)
+    ints = build_integrands(model, payoff, grid, T, nu_eps=batch.nu_eps)
     report = replicate_batch(ints, batch)
     payload = {k: report[k] for k in
                ("n_paths", "n_steps", "mse", "mean_claim", "mean_replication", "se")}

@@ -41,12 +41,19 @@ asymmetry confined to a band of v narrower than a panel can fall between
 the checked nodes and go unseen.
 
 One private evaluator, ``_contour``, builds every contour table: the public
-operations, the representation integrands, the hedge and the path drivers
-all pass it their multipliers and points (``jump_difference`` is F at x and
-x + y from one table).  It returns a float for a scalar point, an array of
-the input's shape otherwise.  Contour and fallback tables are tuned at
-``_probe``, the distinct 0, 1/4, 1/2, 3/4 and 1 quantiles of the points, and
-one refinement loop, ``_adapt``, refines every table.  The path drivers
+operations pass it their multipliers and points (``jump_difference`` is F
+at x and x + y from one table), and the representation integrands, the
+hedge and the path drivers take the first n of one term list, F, dF/dx
+and the jump multipliers, padded with zeros (``_terms``).  It returns a
+float for a scalar point, an array of the input's shape otherwise.  Contour
+and fallback tables are tuned at ``_probe``, the distinct 0, 1/4, 1/2, 3/4
+and 1 quantiles of the points.  One builder, ``_build_table``, sizes every
+contour, density and fallback table: it checks t < T, searches v_max
+(``_auto_v_max``) unless the grid fixes it, lays out the panels and runs
+the one refinement loop, ``_adapt``.  A ``QuadratureGrid`` holds only its
+config keys, alpha, v_max and tol; the truncation level, the v_max cap
+and the node budget of each kind of table are constants (TABLE_LIMITS),
+and the fallback always searches its own v_max.  The path drivers
 share one step loop (``representation._drive_paths``); its tables, and the
 rows of ``hedging.hedge_grid``, share a cache for one call: on a fixed node
 set only e^{tau psi} depends on t, so the payoff transform, psi(i z_v) and
@@ -56,14 +63,13 @@ panel layout (the edges for a (v_max, omega) pair and, per refinement
 level, the panels and both rules' nodes and weights).  Node sets repeat
 only if omega does, so a cached table rounds omega up to a power of two;
 every other table keeps its exact omega and builds its layout afresh.
-``conditional_value_batch``, ``dF_dx_batch`` and ``density_batch`` are the
-same functions under their batch names.
+``density_batch`` is ``density`` under its batch name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -85,6 +91,10 @@ SMALL_JUMP_ORDER = 32
 SMALL_JUMP_TERMS = 20
 SMALL_JUMP_SERIES_MAX = 1.0
 SMALL_JUMP_PANEL_PHASE = 16.0
+# nodes of nu on |y| >= eps (``truncated_nu_nodes``): geometric panels per
+# side and Gauss-Legendre nodes per panel
+TRUNCATED_NU_PANELS = 40
+TRUNCATED_NU_ORDER = 10
 
 # piecewise Chebyshev route of _half_sum: degree M per piece, the a-priori
 # interpolation bound and the strided check against the direct sum, both
@@ -107,16 +117,20 @@ _PROBE_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 FOLD_POINT_NODES = 6000
 
 
+# per kind of table (``_build_table``): the envelope level that ends the
+# truncation search, the largest v_max it may reach and the node budget,
+# both halves of the spectrum counted
+TABLE_LIMITS = {"contour": (1e-12, 1e6, 400_000), "density": (1e-13, 1e6, 400_000),
+                "near-maturity fallback": (1e-10, 1e8, 12_000_000)}
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Contour configuration: damping alpha, truncation, tolerances."""
+    """Contour configuration: damping alpha, truncation, tolerance."""
 
     alpha: float = 1.0
     v_max: float | None = None  # None -> grow until the envelope is negligible
     tol: float = 1e-9
-    tail_tol: float = 1e-12
-    v_cap: float = 1e6
-    max_nodes: int = 400_000
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
@@ -182,24 +196,23 @@ def _nodes_weights(mid: np.ndarray, half: np.ndarray, order: int):
     return vs, ws
 
 
-def _auto_v_max(envelope: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid) -> float:
+def _auto_v_max(envelope: Callable[[np.ndarray], np.ndarray], tail_tol: float,
+                v_cap: float) -> float:
     """Smallest v on the ladder 8, 8*1.25, 8*1.25^2, ... <= v_cap at which the
     integrand envelope has stayed below tail_tol for three consecutive rungs;
     the envelope is evaluated once on the whole ladder."""
-    if grid.v_max is not None:
-        return grid.v_max
     ladder = []
     v = 8.0
-    while v <= grid.v_cap:
+    while v <= v_cap:
         ladder.append(v)
         v *= 1.25
     if len(ladder) >= 3:
-        below = envelope(np.array(ladder)) < grid.tail_tol
+        below = envelope(np.array(ladder)) < tail_tol
         third = below[2:] & below[1:-1] & below[:-2]
         if third.any():
             return ladder[int(np.argmax(third)) + 2]
     raise TruncationError(
-        f"integrand envelope not below {grid.tail_tol:g} within v <= {grid.v_cap:g}"
+        f"integrand envelope not below {tail_tol:g} within v <= {v_cap:g}"
     )
 
 
@@ -499,13 +512,10 @@ def make_multi_table(
 ) -> MultiTable:
     """Adapt one contour node set until every multiplier's probe converges;
     ``cache`` is one call's dict for these multipliers (module doc)."""
-    if t >= T:
-        raise DomainError("contour table needs t < T")
     if payoff.transform0 is None:
         raise DomainError(f"payoff kind {payoff.kind!r} has no damped transform")
     alpha = grid.alpha if payoff.alpha_interval[0] < grid.alpha < payoff.alpha_interval[1] else payoff.alpha
     _check_contour_domain(model, payoff, alpha)
-    tau = T - t
 
     if x_probe is None:
         x_probe = np.array([payoff.osc_center])
@@ -522,40 +532,59 @@ def make_multi_table(
         factors["cbar"] = np.max(np.abs(z_ref * payoff.transform_contour(np.array([z_ref]))))
     cbar = max(float(factors["cbar"] * np.max(np.exp(-alpha * x_probe))), 1e-30)
 
-    def envelope(v):
+    def envelope(tau, v):
         zs = 1j * v - alpha
         if "ladder" not in factors:
             factors["ladder"] = np.real(model.psi(1j * zs))
         mag = np.exp(tau * factors["ladder"])
         return mag * (1.0 + np.abs(zs)) * cbar / np.abs(zs)
 
-    v_max = _auto_v_max(envelope, grid)
-
-    def weighted(vs, ws):
+    def kernel(tau, vs, ws):
         key = vs.tobytes()
         if key not in factors:
             factors[key] = _NodeFactors(model, payoff, multipliers, 1j * vs - alpha)
         return factors[key].weights(tau, ws)
 
+    return _build_table("contour", grid.tol, grid.v_max, t, T, alpha, omega, x_probe,
+                        envelope, kernel, factors)
+
+
+def _build_table(what, tol, v_max, t, T, alpha, omega, probe, envelope, kernel, layouts,
+                 table=MultiTable):
+    """The one builder of contour, density and fallback tables of kind
+    ``what``: for t < T and tau = T - t, truncates at ``v_max`` or, if None,
+    at ``_auto_v_max`` of ``envelope(tau, v)`` within the kind's
+    TABLE_LIMITS, and refines ``kernel(tau, vs, ws)`` from
+    ``_panel_edges(v_max, omega)`` to ``tol`` at the probe points
+    (``_adapt``).  ``layouts`` keeps the edges of each (v_max, omega) and
+    ``_adapt``'s levels on them for the next table with that layout."""
+    if t >= T:
+        raise DomainError(f"{what} table needs t < T")
+    tau = T - t
+    tail_tol, v_cap, max_nodes = TABLE_LIMITS[what]
+    if v_max is None:
+        v_max = _auto_v_max(lambda v: envelope(tau, v), tail_tol, v_cap)
     layout = ("layout", v_max, omega)
-    if layout not in factors:
-        factors[layout] = (_panel_edges(v_max, omega), {})
-    edges, levels = factors[layout]
-    return _adapt(weighted, edges, x_probe, alpha, grid, "contour", MultiTable, levels)
+    if layout not in layouts:
+        layouts[layout] = (_panel_edges(v_max, omega), {})
+    edges, levels = layouts[layout]
+    return _adapt(lambda vs, ws: kernel(tau, vs, ws), edges, probe, alpha, tol, max_nodes,
+                  what, table, levels)
 
 
-def _adapt(weighted, base_edges, probe, alpha, grid, what, table=MultiTable, levels=None):
+def _adapt(weighted, base_edges, probe, alpha, tol, max_nodes, what, table, levels):
     """The one refinement loop of contour, density and fallback tables.
 
     Splits every panel of ``base_edges`` into 2^level pieces until the 16-
     and 24-point Gauss-Legendre sums of every integrand agree at every probe
-    point, to ``grid.tol`` relative to 1 + |2pi value| (the scale of the
+    point, to ``tol`` relative to 1 + |2pi value| (the scale of the
     unnormalised sum).  ``weighted(vs, ws)`` gives each integrand's weights
     on nodes vs with quadrature weights ws.  Returns the 24-point table, a
     ``table`` instance, with the probe error as its ``err_estimate`` and
     its sums at a copy of the probe points as its ``probe_sum``; the node
-    budget counts both halves of the spectrum.  ``levels`` keeps each
-    level's panels, nodes and weights for the next table on ``base_edges``.
+    budget ``max_nodes`` counts both halves of the spectrum.  ``levels``
+    keeps each level's panels, nodes and weights for the next table on
+    ``base_edges``.
 
     The half sums are exact only for conjugate-symmetric weights,
     w(-v) = conj(w(v)).  The accepted level is checked at the mirror of one
@@ -564,12 +593,11 @@ def _adapt(weighted, base_edges, probe, alpha, grid, what, table=MultiTable, lev
     sum (|w(-v)| + |w(v)|) raises QuadratureError.
     """
     x = np.array(probe, dtype=float).ravel()
-    levels = {} if levels is None else levels
     prev = None
     for level in range(7):
         if level not in levels:
             edges = _split_edges(base_edges, 2**level)
-            if 2 * (edges.size - 1) * 24 > grid.max_nodes:
+            if 2 * (edges.size - 1) * 24 > max_nodes:
                 raise TruncationError(f"{what} node budget exhausted before convergence")
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
@@ -582,7 +610,7 @@ def _adapt(weighted, base_edges, probe, alpha, grid, what, table=MultiTable, lev
         p_hi = out.half_sum(x)
         errs = np.max(np.abs(p_hi - p_lo), axis=0)
         scales = 1.0 + 2.0 * math.pi * np.max(np.abs(p_hi), axis=0)
-        if np.all(errs <= grid.tol * scales):
+        if np.all(errs <= tol * scales):
             check = slice(11, None, 24)
             for neg, pos in zip(weighted(-vs24[check], ws24[check]), hi):
                 asym = float(np.sum(np.abs(neg - np.conj(pos[check]))))
@@ -624,15 +652,16 @@ def _jump_pair(model, eps):
 
 def _mult_nu(model, eps=None):
     """int (e^{-z_v y} - 1) nu(dy) = J(i z_v) - z_v m1 over nu, or over
-    |y| >= eps; the full measure needs finite-variation jumps."""
-    if eps is None and not model.has_finite_variation_jumps:
-        raise DomainError(
-            "plain jump compensator diverges for infinite-variation jumps; "
-            "use a truncated mark grid"
-        )
+    |y| >= eps; evaluated over the full measure of infinite-variation jumps,
+    where it diverges, it raises DomainError."""
     J, m1 = _jump_pair(model, eps)
 
     def mult(zs):
+        if eps is None and not model.has_finite_variation_jumps:
+            raise DomainError(
+                "plain jump compensator diverges for infinite-variation jumps; "
+                "use a truncated mark grid"
+            )
         return J(1j * zs) - zs * m1
 
     return mult
@@ -651,14 +680,33 @@ def _mult_nu_exp(model, eps):
     return mult
 
 
-def truncated_nu_nodes(model, eps: float, n_panels: int = 40, order: int = 10):
+def _terms(model, payoff, grid, T, jumps, jump_model, eps=None):
+    """``evaluate(t, xs, n, cache=None)``: ([the first n of F, dF/dx and the
+    jump terms at the points xs], err) from one ``_contour`` table, zeros
+    past the list.  The jump multipliers, ``make(jump_model, eps)`` for each
+    ``make`` in ``jumps`` (none for a Brownian ``jump_model``), are made at
+    the first call for more than two terms: a truncated exponent is built
+    only for the calls that need it."""
+    mults = [None, _mult_dx]
+
+    def evaluate(t, xs, n, cache=None):
+        if n > 2 and len(mults) == 2 and not isinstance(jump_model, BrownianModel):
+            mults.extend(make(jump_model, eps) for make in jumps)
+        vals, err = _contour(model, payoff, grid, t, xs, T, mults[:n], cache)
+        return [*vals, *[_full(xs, 0.0)] * (n - len(vals))], err
+
+    return evaluate
+
+
+def truncated_nu_nodes(model, eps: float):
     """Gauss-Legendre nodes/weights for integrals against nu on |y| >= eps;
     the weights already include the density."""
     if not 0 < eps < math.inf:
         raise ParameterError(f"eps must be positive and finite, got {eps!r}")
     ys_list, ws_list = [], []
     for sgn in (-1.0, 1.0):
-        xs, ws = geometric_panels(eps, nu_tail_cutoff(model, sgn, eps), n_panels, order)
+        xs, ws = geometric_panels(eps, nu_tail_cutoff(model, sgn, eps), TRUNCATED_NU_PANELS,
+                                  TRUNCATED_NU_ORDER)
         ys = sgn * xs
         ws = ws * model.levy_density(ys)
         keep = ws > 0
@@ -746,17 +794,16 @@ def truncated_jump_exponent(model, eps: float):
 def _digital_tail(model, grid, t, T, q):
     """P(X_T - X_t > q) at every point of q, clipped to [0, 1], by sign
     inversion: 1/2 + (1/pi) int_0^inf Im(e^{-ivq} phi(t, v)) / v dv, one
-    table of the kernel -i phi(v) / v per call.
+    table of the kernel -i phi(v) / v per call, truncated by its own search
+    whatever ``grid.v_max``.
 
     Used when the damped contour cannot be truncated: the 1/v factor
     restores convergence for very short horizons."""
-    tau = T - t
-    grid = replace(grid, v_max=None, tail_tol=1e-10, v_cap=1e8, max_nodes=12_000_000)
-    v_max = _auto_v_max(lambda v: np.exp(tau * np.real(model.psi(v))) / np.maximum(v, 1.0), grid)
     probe = _probe(q)
-    edges = _panel_edges(v_max, float(np.max(np.abs(probe))))
-    table = _adapt(lambda vs, ws: [-1j * np.exp(tau * model.psi(vs)) / vs * ws],
-                   edges, probe, 0.0, grid, "near-maturity fallback")
+    table = _build_table(
+        "near-maturity fallback", grid.tol, None, t, T, 0.0, float(np.max(np.abs(probe))), probe,
+        lambda tau, v: np.exp(tau * np.real(model.psi(v))) / np.maximum(v, 1.0),
+        lambda tau, vs, ws: [-1j * np.exp(tau * model.psi(vs)) / vs * ws], {})
     (p,) = table.eval_all(q)
     return np.clip(0.5 + p, 0.0, 1.0)
 
@@ -860,8 +907,6 @@ def jump_difference(model, payoff, grid, t, x, y, T):
 def jump_compensator(model, payoff, grid, t, x, T):
     """int (F(t, x + y) - F(t, x)) nu(dy) for finite-variation jump parts;
     0 for a constant payoff whatever the jump variation."""
-    if payoff.kind == "constant":
-        return _full(x, 0.0)
     (comp,), _ = _contour(model, payoff, grid, t, x, T, [_mult_nu(model)])
     return comp
 
@@ -878,11 +923,6 @@ def pide_residual(model, payoff, grid, t, x, T):
                                  [lambda zs: model.jump_exponent(1j * zs)])
         terms += nu_term
     return terms
-
-
-# the batch names of the pointwise operations, which take arrays as well
-conditional_value_batch = conditional_value
-dF_dx_batch = dF_dx
 
 
 # ---------------------------------------------------------------------------
@@ -904,24 +944,13 @@ class DensityTable(MultiTable):
 
 
 def make_density_table(model, grid, t, T, y_probe=None) -> DensityTable:
-    if t >= T:
-        raise DomainError("density table needs t < T")
-    tau = T - t
     if y_probe is None:
         y_probe = np.array([0.0])
     y_probe = np.atleast_1d(np.asarray(y_probe, dtype=float))
-    omega = float(np.max(np.abs(y_probe)))
-
-    def envelope(v):
-        return np.exp(tau * np.real(model.psi(v)))
-
-    v_max = _auto_v_max(envelope, replace(grid, tail_tol=min(grid.tail_tol, 1e-13)))
-
-    def weighted(vs, ws):
-        return [np.exp(tau * model.psi(vs)) * ws]
-
-    return _adapt(weighted, _panel_edges(v_max, omega), y_probe, 0.0, grid, "density",
-                  DensityTable)
+    return _build_table(
+        "density", grid.tol, grid.v_max, t, T, 0.0, float(np.max(np.abs(y_probe))), y_probe,
+        lambda tau, v: np.exp(tau * np.real(model.psi(v))),
+        lambda tau, vs, ws: [np.exp(tau * model.psi(vs)) * ws], {}, DensityTable)
 
 
 def density(model, grid, t, T, y):

@@ -24,19 +24,11 @@ import numpy as np
 
 from .config import config_count, config_number
 from .errors import DomainError, ParameterError
-from .fourier import (
-    QuadratureGrid,
-    _contour,
-    _full,
-    _mult_dx,
-    _mult_nu,
-    _mult_nu_exp,
-)
+from .fourier import QuadratureGrid, _full, _mult_nu, _mult_nu_exp, _terms
 # perfbench/tracing.py wraps make_multi_table in this module by name, so the
 # name stays importable here although every table is built by _contour
 from .fourier import make_multi_table  # noqa: F401
 from .mmm import MarketSpec, MmmTransform, exp_jump_mean
-from .models import BrownianModel
 from .payoffs import digital_payoff
 from .representation import _drive_paths
 from .simulate import PathBatch
@@ -64,28 +56,14 @@ class HedgeComponents:
 
 
 def _hedge_terms(market: MarketSpec, transform: MmmTransform, grid: QuadratureGrid,
-                 eps: float | None, with_comp: bool):
-    """The hedge's contour evaluation, with the star-measure digital payoff
-    and the multipliers built once, so that its calls can share a table
-    cache: ``evaluate(t, xs, cache=None)`` gives ([F*, kappa, nu-integral,
-    Psi*-compensator], err) at the states xs, zeros for the terms the model
-    lacks (the compensator exists only ``with_comp``, and over the full
-    measure only for finite-variation jumps).  The jump terms come from the
-    physical jump exponent, of nu or of its |y| >= eps part when the path
-    scheme drops the smaller jumps."""
-    model = market.model
+                 eps: float | None):
+    """``fourier._terms`` [F*, kappa, nu-integral, Psi*-compensator] of the
+    star-measure digital, built once so that its calls can share a table
+    cache.  The jump terms come from the physical jump exponent, of nu or
+    of its |y| >= eps part when the path scheme drops the smaller jumps."""
     payoff = digital_payoff(market.strike_level(), alpha=grid.alpha)
-    mults = [None, _mult_dx]
-    if not isinstance(model, BrownianModel):
-        mults.append(_mult_nu_exp(model, eps))
-        if with_comp and (eps is not None or model.has_finite_variation_jumps):
-            mults.append(_mult_nu(model, eps))
-
-    def evaluate(t, xs, cache=None):
-        vals, err = _contour(transform.star, payoff, grid, t, xs, market.T, mults, cache)
-        return [*vals, *[_full(xs, 0.0)] * (4 - len(vals))], err
-
-    return evaluate
+    return _terms(transform.star, payoff, grid, market.T, (_mult_nu_exp, _mult_nu),
+                  market.model, eps)
 
 
 def hedge_components_batch(
@@ -100,13 +78,15 @@ def hedge_components_batch(
     """kappa, nu-integral and xi*S^ for a batch of states at one time.
 
     Returns (F_star, kappa, nu_integral, psi_comp, err): arrays of xs's
-    shape, floats for a scalar state, zeros for the terms the model lacks;
+    shape, floats for a scalar state, zeros for the terms the model lacks
+    and for psi_comp unless ``with_psi_compensator``;
     xi follows as e^{-rT} (kappa sigma^2 + nu_integral) / (s_hat (sigma^2 + C2)).
     """
     if not t < market.T:
         raise DomainError("hedge components need t < T")
-    vals, err = _hedge_terms(market, transform, grid, eps, with_psi_compensator)(t, xs)
-    return (*vals, err)
+    n = 4 if with_psi_compensator else 3
+    vals, err = _hedge_terms(market, transform, grid, eps)(t, xs, n)
+    return (*vals, *[_full(xs, 0.0)] * (4 - n), err)
 
 
 def _lrm_ratio(market: MarketSpec, transform: MmmTransform, s_hat, kappa, nu_int):
@@ -163,8 +143,8 @@ def hedge_grid(
     ts = np.linspace(0.0, 0.98 * market.T, n_t)
     ss = np.geomspace(s_lo, s_hi, n_s)
     xs = np.log(ss) - market.r * ts[:, None]  # X_t with S_t = e^{rt + X_t}
-    evaluate, cache = _hedge_terms(market, transform, grid, None, False), {}
-    terms = [evaluate(t, x, cache) for t, x in zip(ts, xs)]
+    hedge_terms, cache = _hedge_terms(market, transform, grid, None), {}
+    terms = [hedge_terms(t, x, 3, cache) for t, x in zip(ts, xs)]
     kappa, nu_int = (np.array([vals[j] for vals, _ in terms]) for j in (1, 2))
     xi = _lrm_ratio(market, transform, np.exp(xs), kappa, nu_int)
     cols = (np.repeat(ts, n_s), np.tile(ss, n_t), xi, kappa, nu_int,
@@ -190,20 +170,15 @@ def fs_path_study(
     bracket statistic is the negative-control lever.
     """
     model = market.model
-    eps = batch.eps_jump if batch.scheme == "marks" else None
-    if eps is None and not (isinstance(model, BrownianModel) or model.is_finite_activity):
-        raise DomainError(
-            "exact infinite-activity paths carry no jump marks; "
-            "use scheme='marks' for decomposition studies"
-        )
+    eps = batch.nu_eps
     sigma = model.sigma
     disc = math.exp(-market.r * market.T)
     m1_exp = exp_jump_mean(model, eps)
     n, n_steps, dt = batch.n_paths, batch.n_steps, batch.dt
-    evaluate = _hedge_terms(market, transform, grid, eps, True)
+    hedge_terms = _hedge_terms(market, transform, grid, eps)
 
     gains, l_fs, bracket, h0 = np.zeros((4, n))
-    steps = _drive_paths(batch, lambda t, pts, cache: evaluate(t, pts, cache)[0])
+    steps = _drive_paths(batch, lambda t, pts, cache: hedge_terms(t, pts, 4, cache)[0])
     for k, xk, jp, jy, (F, kappa, nu_int, psi_comp), psi_star_j in steps:
         s_hat = np.exp(xk)
         if k == 0:

@@ -90,12 +90,16 @@ class StarModel(LevyModel):
     def levy_density(self, x):
         return self.star_density_factor(x) * self.base.levy_density(x)
 
+    def log_levy_density(self, x):
+        """log nu* = log nu + log((1 + load) + (-load) e^x), finite where the
+        factor's e^x overflows; -1 < load <= 0 under ``build_mmm``."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            tilt = np.logaddexp(math.log1p(self.load), np.log(-self.load) + x)
+        return self.base.log_levy_density(x) + tilt
+
     def jump_exponent(self, w):
-        w = np.asarray(w, dtype=complex)
-        lo, hi = self.exp_moment_strip()
-        im = np.imag(w)
-        if np.any(-im <= lo) or np.any(-im >= hi):
-            raise DomainError("star jump exponent outside moment strip")
+        w = self._check_strip(w)
         j = self.base.jump_exponent
         cross = j(w - 1j) - j(w) - j(-1j) - 1j * w * self.m1e
         return j(w) - self.load * cross
@@ -146,31 +150,20 @@ class MmmTransform:
     mu_star: float
     star: StarModel
 
-    def star_density_factor(self, x):
-        return self.star.star_density_factor(x)
-
-    def psi_star(self, z):
-        return self.star.psi(z)
-
 
 def build_mmm(market: MarketSpec) -> MmmTransform:
     """Construct the measure change; raises AssumptionError when the load
     constants violate 0 >= mu_hat > -sigma^2 - C2 or C2 diverges."""
     model = market.model
     sigma = model.sigma
-    if isinstance(model, BrownianModel):
-        c2 = 0.0
-        mu_hat = model.mu + 0.5 * sigma**2
-        m1e = 0.0
-    else:
-        lo, hi = model.exp_moment_strip()
-        if hi <= 2.0:
-            raise AssumptionError(
-                f"C2 = int (e^x-1)^2 nu diverges: moment strip upper end {hi:g} <= 2"
-            )
-        c2 = model.c2()
-        mu_hat = model.mu + 0.5 * sigma**2 + model.exp_jump_cumulant(1.0)
-        m1e = model.nu_mean_exp()
+    lo, hi = model.exp_moment_strip()
+    if hi <= 2.0:
+        raise AssumptionError(
+            f"C2 = int (e^x-1)^2 nu diverges: moment strip upper end {hi:g} <= 2"
+        )
+    c2 = model.c2()
+    mu_hat = model.mu + 0.5 * sigma**2 + model.exp_jump_cumulant(1.0)
+    m1e = model.nu_mean_exp()
     denom = sigma**2 + c2
     if denom <= 0:
         raise AssumptionError("sigma^2 + C2 = 0: the asset carries no risk")
@@ -223,7 +216,7 @@ def mmm_log_density(transform: MmmTransform, batch: PathBatch,
     out = -g * w_T - 0.5 * g * g * T
     model = transform.market.model
     if not isinstance(model, BrownianModel):
-        factors = transform.star_density_factor(batch.jump_size)
+        factors = transform.star.star_density_factor(batch.jump_size)
         if np.any(factors <= 0.0):
             bad = batch.jump_size[factors <= 0.0][0]
             raise DomainError(
@@ -232,8 +225,7 @@ def mmm_log_density(transform: MmmTransform, batch: PathBatch,
         logs = np.zeros(batch.n_paths)
         np.add.at(logs, batch.jump_path, np.log(factors))
         # int (factor - 1) nu = -load int (e^y - 1) nu
-        eps = batch.eps_jump if batch.scheme == "marks" else None
-        comp = -transform.load * exp_jump_mean(model, eps)
+        comp = -transform.load * exp_jump_mean(model, batch.nu_eps)
         out += logs - T * comp
     if path_index is not None:
         return float(out[path_index])

@@ -35,6 +35,13 @@ RAMP_SERIES_TERMS = 30
 NU_PANEL_ORDER = 16
 NU_PANELS_PER_OCTAVE = 8
 
+# check_decay_condition: tail blocks [v, 2v] start at DECAY_V0 and double at
+# most DECAY_MAX_DOUBLINGS times, until a block, or the geometric tail they
+# imply, is below DECAY_TOL of the running integral
+DECAY_TOL = 1e-6
+DECAY_V0 = 64.0
+DECAY_MAX_DOUBLINGS = 18
+
 
 def _as_complex(w):
     return np.asarray(w, dtype=complex)
@@ -68,6 +75,16 @@ class LevyModel:
     def jump_exponent(self, w):
         """int (e^{iwx} - 1 - iwx) nu(dx), vectorized over complex w."""
         raise NotImplementedError
+
+    def _check_strip(self, w) -> np.ndarray:
+        """w as a complex array; DomainError unless -Im(w) lies inside the
+        moment strip at every point."""
+        w = _as_complex(w)
+        lo, hi = self.exp_moment_strip()
+        im = np.imag(w)
+        if np.any(-im <= lo) or np.any(-im >= hi):
+            raise DomainError(f"{self.kind} jump exponent needs -Im(w) in ({lo:g}, {hi:g})")
+        return w
 
     def exp_moment_strip(self) -> tuple[float, float]:
         """Open interval of alpha with E[e^{alpha X_1}] < infinity."""
@@ -126,6 +143,8 @@ class BrownianModel(LevyModel):
     """Drifted Brownian motion; nu = 0."""
 
     kind = "brownian"
+    is_finite_activity = True
+    has_finite_variation_jumps = True
 
     def levy_density(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -139,14 +158,6 @@ class BrownianModel(LevyModel):
     def nu_moments(self):
         return 0.0, 0.0, 0.0, 0.0
 
-    @property
-    def is_finite_activity(self):
-        return True
-
-    @property
-    def has_finite_variation_jumps(self):
-        return True
-
 
 @dataclass(frozen=True)
 class MertonModel(LevyModel):
@@ -158,6 +169,8 @@ class MertonModel(LevyModel):
     delta: float = 0.1
 
     kind = "merton"
+    is_finite_activity = True
+    has_finite_variation_jumps = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -186,12 +199,6 @@ class MertonModel(LevyModel):
     def exp_moment_strip(self):
         return (-math.inf, math.inf)
 
-    def nu_mean(self):
-        return self.gamma * self.m
-
-    def nu_second_moment(self):
-        return self.gamma * (self.m**2 + self.delta**2)
-
     def nu_moments(self):
         g, m, d = self.gamma, self.m, self.delta
         return (
@@ -200,14 +207,6 @@ class MertonModel(LevyModel):
             g * (m**3 + 3 * m * d * d),
             g * (m**4 + 6 * m * m * d * d + 3 * d**4),
         )
-
-    @property
-    def is_finite_activity(self):
-        return True
-
-    @property
-    def has_finite_variation_jumps(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -219,6 +218,8 @@ class VGModel(LevyModel):
     M: float = 5.0
 
     kind = "vg"
+    is_finite_activity = False
+    has_finite_variation_jumps = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -246,10 +247,7 @@ class VGModel(LevyModel):
         return out
 
     def jump_exponent(self, w):
-        w = _as_complex(w)
-        im = np.imag(w)
-        if np.any(im <= -self.M) or np.any(im >= self.G):
-            raise DomainError("vg jump exponent needs Im(w) in (-M, G)")
+        w = self._check_strip(w)
         return self.C * (
             -np.log(1.0 - 1j * w / self.M)
             - np.log(1.0 + 1j * w / self.G)
@@ -268,14 +266,6 @@ class VGModel(LevyModel):
             6.0 * c * (1.0 / m**4 + 1.0 / g**4),
         )
 
-    @property
-    def is_finite_activity(self):
-        return False
-
-    @property
-    def has_finite_variation_jumps(self):
-        return True
-
 
 @dataclass(frozen=True)
 class NIGModel(LevyModel):
@@ -286,6 +276,8 @@ class NIGModel(LevyModel):
     delta: float = 1.0
 
     kind = "nig"
+    is_finite_activity = False
+    has_finite_variation_jumps = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -325,23 +317,13 @@ class NIGModel(LevyModel):
         return out
 
     def jump_exponent(self, w):
-        w = _as_complex(w)
-        im = np.imag(w)
-        lo, hi = self.exp_moment_strip()
-        if np.any(-im <= lo) or np.any(-im >= hi):
-            raise DomainError("nig jump exponent needs -Im(w) in (-(a+b), a-b)")
+        w = self._check_strip(w)
         g0 = self._gamma0
         root = np.sqrt(self.a**2 - (self.b + 1j * w) ** 2)
         return self.delta * (g0 - root) - 1j * w * self.delta * self.b / g0
 
     def exp_moment_strip(self):
         return (-(self.a + self.b), self.a - self.b)
-
-    def nu_mean(self):
-        return self.delta * self.b / self._gamma0
-
-    def nu_second_moment(self):
-        return self.delta * self.a**2 / self._gamma0**3
 
     def nu_moments(self):
         d, a, b = self.delta, self.a, self.b
@@ -352,14 +334,6 @@ class NIGModel(LevyModel):
             3.0 * d * b * a * a / g0**5,
             3.0 * d * a * a * (a * a + 4.0 * b * b) / g0**7,
         )
-
-    @property
-    def is_finite_activity(self):
-        return False
-
-    @property
-    def has_finite_variation_jumps(self):
-        return False
 
 
 _FACTORIALS = np.cumprod(np.concatenate([[1.0], np.arange(1.0, RAMP_SERIES_TERMS)]))
@@ -453,6 +427,8 @@ class CustomModel(LevyModel):
     neg_logv: tuple = ()
 
     kind = "custom"
+    is_finite_activity = True
+    has_finite_variation_jumps = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -489,11 +465,7 @@ class CustomModel(LevyModel):
         return out
 
     def jump_exponent(self, w):
-        w = _as_complex(w)
-        lo, hi = self.exp_moment_strip()
-        im = np.imag(w)
-        if np.any(-im <= lo) or np.any(-im >= hi):
-            raise DomainError("custom jump exponent outside moment strip")
+        w = self._check_strip(w)
         out = sum(_piece_transform(sgn * w, *pieces) for sgn, pieces in self._sides)
         return out - self._moments[0] - 1j * w * self._moments[1]
 
@@ -506,14 +478,6 @@ class CustomModel(LevyModel):
 
     def nu_moments(self):
         return tuple(float(m) for m in self._moments[1:])
-
-    @property
-    def is_finite_activity(self):
-        return True
-
-    @property
-    def has_finite_variation_jumps(self):
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +592,6 @@ def check_decay_condition(
     alpha: float,
     t: float,
     T: float,
-    tol: float = 1e-6,
-    v0: float = 64.0,
-    max_doublings: int = 18,
     mode: str = "hedging",
     tbar_hi: float | None = None,
 ) -> DecayCheck:
@@ -655,16 +616,16 @@ def check_decay_condition(
             vals = _decay_integrand(model, alpha, tau, mid + half * gl_x, mode)
             return 2.0 * half * float(vals @ gl_w)  # both contour halves
 
-        core = block(1e-6, v0)
+        core = block(1e-6, DECAY_V0)
         blocks = []
         verdict = None
-        v_hi = v0
-        for k in range(max_doublings):
+        v_hi = DECAY_V0
+        for k in range(DECAY_MAX_DOUBLINGS):
             b = block(v_hi, 2.0 * v_hi)
             v_hi *= 2.0
             blocks.append(b)
             total = core + sum(blocks)
-            if b < tol * max(total, 1e-300):
+            if b < DECAY_TOL * max(total, 1e-300):
                 verdict = DecayCheck(True, alpha, b, v_hi, f"tail negligible at v={v_hi:g}")
                 break
             if len(blocks) >= 3:
@@ -673,7 +634,7 @@ def check_decay_condition(
                 r = max(r1, r2)
                 if r < 0.85:
                     tail = blocks[-1] * r / (1.0 - r)
-                    if tail < tol * total:
+                    if tail < DECAY_TOL * total:
                         verdict = DecayCheck(
                             True, alpha, tail, v_hi, f"geometric tail {tail:.3g} at v={v_hi:g}"
                         )
@@ -692,7 +653,8 @@ def check_decay_condition(
             return verdict
         if worst is None or verdict.tail_estimate > worst.tail_estimate:
             worst = verdict
-    return worst if worst is not None else DecayCheck(True, alpha, 0.0, v0, "degenerate window")
+    return worst if worst is not None else DecayCheck(True, alpha, 0.0, DECAY_V0,
+                                                      "degenerate window")
 
 
 @dataclass

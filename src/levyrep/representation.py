@@ -19,17 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, SchemeError
-from .fourier import (
-    QuadratureGrid,
-    _contour,
-    _full,
-    _mult_dx,
-    _mult_nu,
-)
+from .fourier import QuadratureGrid, _mult_nu, _terms
 # perfbench/tracing.py wraps make_multi_table in this module by name, so the
 # name stays importable here although every table is built by _contour
 from .fourier import make_multi_table  # noqa: F401
-from .models import BrownianModel, LevyModel
+from .models import LevyModel
 from .payoffs import DampedPayoff, PayoffDecomposition
 from .simulate import PathBatch
 
@@ -71,34 +65,27 @@ class _Part:
         self.sign = sign
         self.payoff = payoff
         self.model = model
-        self.grid = grid
         self.T = T
         self.nu_eps = nu_eps
         self.kind = payoff.kind
-        self._has_jumps = not isinstance(model, BrownianModel)
+        self._terms = _terms(model, payoff, grid, T, (_mult_nu,), model, nu_eps)
 
     def evaluate(self, s, xs, n=3, cache=None):
         """The first n of (F, dF_dx, nu_comp) at the points xs, zeros where
         the part has no such term; ``cache`` is a path driver's."""
-        if self.kind == "polynomial":
-            xs = np.asarray(xs, dtype=float)
-            coeffs = _poly_value_coeffs(self.model, self.payoff.params, self.T - s)
-            pv = np.polynomial.polynomial.polyval
-            F = pv(xs, coeffs)
-            dF = pv(xs, np.polynomial.polynomial.polyder(coeffs))
-            vals = [F, dF, self._poly_nu_comp(xs, coeffs)][:n]
-        else:
-            mults = [None, _mult_dx][:n]
-            if n == 3 and self._has_jumps and self.kind != "constant":
-                mults.append(_mult_nu(self.model, self.nu_eps))  # u, theta never ask
-            vals, _ = _contour(self.model, self.payoff, self.grid, s, xs, self.T, mults, cache)
-        return (*vals, *[_full(xs, 0.0)] * (n - len(vals)))
+        if self.kind != "polynomial":
+            vals, _ = self._terms(s, xs, n, cache)
+            return tuple(vals)
+        xs = np.asarray(xs, dtype=float)
+        coeffs = _poly_value_coeffs(self.model, self.payoff.params, self.T - s)
+        pv = np.polynomial.polynomial.polyval
+        F = pv(xs, coeffs)
+        dF = pv(xs, np.polynomial.polynomial.polyder(coeffs))
+        return (F, dF, self._poly_nu_comp(xs, coeffs))[:n]
 
     def _poly_nu_comp(self, xs, coeffs):
         """int (p_tau(x+y) - p_tau(x)) nu(dy) for the polynomial value
         function p_tau: expand in powers of y against nu-moments."""
-        if not self._has_jumps:
-            return np.zeros_like(xs)
         numoms = [0.0, *self.model.nu_moments()]
         deg = len(coeffs) - 1
         out = np.zeros_like(xs)
@@ -192,25 +179,14 @@ def _check_path_compat(integrands: RepresentationIntegrands, batch: PathBatch):
             f"step size {dt:g} reaches inside the near-maturity window "
             f"{NEAR_MATURITY_FRACTION * integrands.T:g}"
         )
-    model = integrands.model
-    if (
-        batch.scheme == "exact"
-        and not isinstance(model, BrownianModel)
-        and not model.is_finite_activity
-    ):
-        raise SchemeError(
-            "exact infinite-activity paths carry no jump marks; "
-            "simulate with scheme='marks' for replication"
-        )
     for part in integrands.parts:
         if part.kind in ("constant", "polynomial"):
             continue
-        want = batch.eps_jump if batch.scheme == "marks" else None
-        if part.nu_eps != want:
+        if part.nu_eps != batch.nu_eps:
             raise SchemeError(
                 f"integrands built with nu_eps={part.nu_eps} but path batch "
-                f"requires nu_eps={want}; rebuild with build_integrands(..., "
-                f"nu_eps={want})"
+                f"requires nu_eps={batch.nu_eps}; rebuild with build_integrands(..., "
+                f"nu_eps={batch.nu_eps})"
             )
 
 
@@ -219,7 +195,14 @@ def _drive_paths(batch: PathBatch, evaluate):
     ``evaluate(t_k, points, cache)`` prices the grid and then the post-jump
     states of step k, with one dict ``cache`` for the loop (``fourier``).
     Yields (k, x_k, jump paths, jump sizes, the values at x_k, and the first
-    value's F(x + y) - F(x) at each jump)."""
+    value's F(x + y) - F(x) at each jump).  Exact-scheme paths of an
+    infinite-activity model carry no jump marks to replay: SchemeError
+    before any table is built."""
+    if batch.nu_eps is None and not batch.model.is_finite_activity:
+        raise SchemeError(
+            "exact infinite-activity paths carry no jump marks; "
+            "simulate with scheme='marks'"
+        )
     n = batch.n_paths
     cache = {}
     for k, t, xk, jp, jy in batch.steps():

@@ -77,6 +77,12 @@ class PathBatch:
     def dt(self) -> float:
         return self.T / self.n_steps
 
+    @property
+    def nu_eps(self) -> float | None:
+        """The truncation level of the jump measure behind the paths:
+        ``eps_jump`` on the marks scheme, None (the full measure) otherwise."""
+        return self.eps_jump if self.scheme == "marks" else None
+
     def steps(self):
         """Yield (k, t_k, x_k, jump_path, jump_size) for every step k: the
         grid time and states at the start of the step and the jumps inside
@@ -178,6 +184,8 @@ def _accumulate(x0, drift_dt, sigma, dW, small_sigma, dB, n_steps, jp, jstep, js
 # ---------------------------------------------------------------------------
 # mark tables for the truncated compound Poisson scheme
 
+MARK_KNOTS = 4000  # geometric knots of a mark table's CDF per side
+
 
 @dataclass(frozen=True)
 class MarkTable:
@@ -218,9 +226,9 @@ class MarkTable:
 
 
 @lru_cache(maxsize=32)
-def build_mark_table(model: LevyModel, eps: float, n_knots: int = 4000) -> MarkTable:
+def build_mark_table(model: LevyModel, eps: float) -> MarkTable:
     """Tabulate the normalized CDF of nu restricted to |y| >= eps.  Cached
-    per (model, eps, n_knots); the table's arrays are read-only."""
+    per (model, eps); the table's arrays are read-only."""
     if isinstance(model, BrownianModel):
         raise SchemeError("mark scheme needs a jump component")
     if not 0 < eps < math.inf:
@@ -230,7 +238,7 @@ def build_mark_table(model: LevyModel, eps: float, n_knots: int = 4000) -> MarkT
     rate = 0.0
     mean = 0.0
     for sgn in (-1.0, 1.0):
-        ys = sgn * np.geomspace(eps, nu_tail_cutoff(model, sgn, eps), n_knots)
+        ys = sgn * np.geomspace(eps, nu_tail_cutoff(model, sgn, eps), MARK_KNOTS)
         dens = model.levy_density(ys)
         if not np.any(dens > 0):
             continue

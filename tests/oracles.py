@@ -1,8 +1,9 @@
 """Independent oracles that the tests compare the package against: quadrature
 for the closed-form jump exponent and square-root payoff transforms, the
 fixed quadrature grid that custom models used before their closed form, the
-density-based tail rule of the moment check before its log form, the
-large-argument form of K1, path simulation by plain argsort, np.interp and a
+density-based tail rule of the moment check before its log form, the star
+measure's log density by a second formula and by its old log(density) rule,
+the large-argument form of K1, path simulation by plain argsort, np.interp and a
 2-D np.add.at, the contour half sum node by node, the probe points by
 np.quantile, and the per-step loops of replication and of the FS study with
 one uncached table per step."""
@@ -160,6 +161,24 @@ def density_exponential_tail(model, alpha):
         with np.errstate(divide="ignore"):
             val += float(np.exp(np.log(ws) + alpha * sgn * xs).sum())
     return val
+
+
+def log_of_levy_density(model, x):
+    """log nu as log(levy_density), -inf where the density is 0 or has
+    underflowed: the rule of the star measure before its closed form."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(model.levy_density(x), 0.0))
+
+
+def star_log_levy_density(star, x: float) -> float:
+    """log nu*(x) at a scalar x from the base measure's log density and the
+    log of the tilt 1 - load (e^x - 1): log1p(-load expm1(x)) for x <= 0 and
+    x + log(-load + (1 + load) e^{-x}) above, which stays finite where e^x
+    overflows."""
+    load = star.load
+    tilt = (math.log1p(-load * math.expm1(x)) if x <= 0.0
+            else x + math.log(-load + (1.0 + load) * math.exp(-x)))
+    return float(star.base.log_levy_density(np.array(x))) + tilt
 
 
 def simulate_reference(model, T, n_steps, n_paths, seed, scheme="exact", eps_jump=1e-3,

@@ -1,7 +1,9 @@
 """Contour-integral engine: Gaussian closed forms, brute quadrature and
 finite differences as oracles."""
 
+import dataclasses
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.stats import norm
 
 from levyrep import (
     BrownianModel,
+    DampedPayoff,
     DomainError,
     MarketSpec,
     MertonModel,
@@ -22,12 +25,10 @@ from levyrep import (
     QuadratureGrid,
     build_mmm,
     conditional_value,
-    conditional_value_batch,
     constant_payoff,
     d2F_dx2,
     dF_dt,
     dF_dx,
-    dF_dx_batch,
     density,
     density_batch,
     digital_payoff,
@@ -206,7 +207,7 @@ def _sign_inversion(model, tau, q):
     [0, 1]."""
     q = np.atleast_1d(q)
     env = lambda v: np.exp(tau * np.real(model.psi(v))) / np.maximum(v, 1.0)  # noqa: E731
-    v_max = fourier._auto_v_max(env, QuadratureGrid(tail_tol=1e-10, v_cap=1e8))
+    v_max = fourier._auto_v_max(env, *fourier.TABLE_LIMITS["near-maturity fallback"][:2])
     edges = fourier._panel_edges(v_max, float(np.max(np.abs(q))))
 
     def value(order):
@@ -233,7 +234,7 @@ def _counting_adapt(monkeypatch, kernel=None):
     adapt = fourier._adapt
 
     def counted(weighted, *rest):
-        calls.append(rest[-1])
+        calls.append(inspect.signature(adapt).bind(weighted, *rest).arguments["what"])
         if kernel is None:
             return adapt(weighted, *rest)
         return adapt(lambda vs, ws: [kernel(w, vs) for w in weighted(vs, ws)], *rest)
@@ -404,10 +405,10 @@ def test_damping_outside_moment_strip(vg):
 def test_batch_matches_scalar(merton, grid):
     payoff = digital_payoff(0.0, alpha=1.0)
     xs = np.array([-0.5, 0.0, 0.5])
-    batch = conditional_value_batch(merton, payoff, grid, 0.2, xs, T)
+    batch = conditional_value(merton, payoff, grid, 0.2, xs, T)
     for x, ref in zip(xs, batch):
         assert abs(conditional_value(merton, payoff, grid, 0.2, float(x), T) - ref) < 1e-11
-    dbatch = dF_dx_batch(merton, payoff, grid, 0.2, xs, T)
+    dbatch = dF_dx(merton, payoff, grid, 0.2, xs, T)
     for x, ref in zip(xs, dbatch):
         assert abs(dF_dx(merton, payoff, grid, 0.2, float(x), T) - ref) < 1e-11
 
@@ -441,6 +442,50 @@ def test_digital_value_translates_with_the_strike(merton, nig, grid, kind, t, x,
     tol = 2.0 * grid.tol * (1.0 + 2.0 * math.pi)
     assert abs(value - conditional_value(model, at_zero, grid, t, x - c, T)) <= tol
     assert abs(value - conditional_value(model, at_zero, grid, t, x - c - 0.1, T)) > tol
+
+
+def _digital_below(c):
+    """1_{x < c}: ghat(0, z) = e^{izc} / (iz) for Im z < 0, so its table runs
+    at negative damping, alpha = -1."""
+
+    def transform0(z):
+        z = np.asarray(z, dtype=complex)
+        return np.exp(1j * z * c) / (1j * z)
+
+    return DampedPayoff(kind="digital_below",
+                        f=lambda x: (np.asarray(x, dtype=float) < c).astype(float),
+                        transform0=transform0, alpha_interval=(-math.inf, 0.0), alpha=-1.0,
+                        osc_center=c, params=(c,))
+
+
+def _parity_gap(model, grid, t, x, c, c_below):
+    return abs(conditional_value(model, digital_payoff(c, alpha=1.0), grid, t, x, T)
+               + conditional_value(model, _digital_below(c_below), grid, t, x, T) - 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["merton", "nig"]), u=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+       t=st.floats(0.0, 0.95), x=st.floats(-0.5, 0.5), c=st.floats(-0.5, 0.5))
+def test_digital_parity_over_random_parameters(grid, kind, u, t, x, c):
+    # F(>= c) + F(< c) = 1, the two legs from their own tables at damping
+    # +1 and -1; both ends of each NIG strip stay beyond 1
+    if kind == "merton":
+        model = MertonModel(x0=0.0, mu=-0.1, sigma=0.1 + 0.4 * u[0], gamma=0.2 + 2.8 * u[1],
+                            m=-0.3 + 0.6 * u[2], delta=0.05 + 0.45 * u[3])
+    else:
+        a = 2.5 + 3.5 * u[0]
+        model = NIGModel(x0=0.0, mu=-0.1, sigma=0.0, a=a, b=a * (u[1] - 0.5),
+                         delta=0.5 + 1.5 * u[2])
+    assert _parity_gap(model, grid, t, x, c, c) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.95])
+def test_digital_parity_on_the_shipped_models(merton, nig, grid, t):
+    # negative control: the below leg at c + 0.1 adds P(c <= X_T < c + 0.1),
+    # at least 0.068 from x = c on these models and times
+    for model, c in ((merton, -0.02), (nig, 0.0)):
+        assert _parity_gap(model, grid, t, c, c, c) <= 1e-9
+        assert _parity_gap(model, grid, t, c, c, c + 0.1) >= 0.06
 
 
 def test_pointwise_operations_keep_array_shape(merton, nig, grid):
@@ -514,3 +559,8 @@ def test_grid_from_dict_accepts_every_known_key():
     assert (g.alpha, g.v_max, g.tol) == (0.5, 40.0, 1e-8)
     assert grid_from_dict({"v_max": None}).v_max is None
     assert grid_from_dict({}) == QuadratureGrid()
+
+
+def test_every_grid_field_is_a_config_key():
+    # a QuadratureGrid field that no config can set fails here
+    assert [f.name for f in dataclasses.fields(QuadratureGrid)] == list(fourier._GRID_KEYS)

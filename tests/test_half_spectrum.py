@@ -231,14 +231,12 @@ def test_density_star_keeps_the_input_shape():
 # the truncation search
 
 
-def _scalar_auto_v_max(envelope, grid):
+def _scalar_auto_v_max(envelope, tail_tol, v_cap):
     """The scalar search the ladder evaluation replaced."""
-    if grid.v_max is not None:
-        return grid.v_max
     v = 8.0
     hits = 0
-    while v <= grid.v_cap:
-        if float(envelope(np.array([v]))[0]) < grid.tail_tol:
+    while v <= v_cap:
+        if float(envelope(np.array([v]))[0]) < tail_tol:
             hits += 1
             if hits >= 3:
                 return v
@@ -261,9 +259,9 @@ def _density_envelope(model, tau):
     return lambda v: np.exp(tau * np.real(model.psi(v)))
 
 
-def _outcome(search, envelope, grid):
+def _outcome(search, envelope, limits):
     try:
-        return search(envelope, grid)
+        return search(envelope, *limits)
     except TruncationError:
         return "truncation"
 
@@ -278,11 +276,11 @@ def test_ladder_search_returns_the_scalar_search_v(name, log_tau, kind):
     model = {"merton": MERTON, "nig": NIG, "vg": VG, "star_merton": STAR_MERTON}[name]
     tau = 10.0**log_tau
     if kind == "contour":
-        envelope, grid = _contour_envelope(model, tau), GRID
+        envelope, limits = _contour_envelope(model, tau), fourier.TABLE_LIMITS["contour"][:2]
     else:
-        envelope, grid = _density_envelope(model, tau), QuadratureGrid(tail_tol=1e-13)
-    new = _outcome(fourier._auto_v_max, envelope, grid)
-    assert new == _outcome(_scalar_auto_v_max, envelope, grid)
+        envelope, limits = _density_envelope(model, tau), fourier.TABLE_LIMITS["density"][:2]
+    new = _outcome(fourier._auto_v_max, envelope, limits)
+    assert new == _outcome(_scalar_auto_v_max, envelope, limits)
 
 
 def test_ladder_search_evaluates_the_envelope_once():
@@ -292,23 +290,27 @@ def test_ladder_search_evaluates_the_envelope_once():
         calls.append(v.size)
         return _contour_envelope(MERTON, 0.5)(v)
 
-    fourier._auto_v_max(envelope, GRID)
+    fourier._auto_v_max(envelope, *fourier.TABLE_LIMITS["contour"][:2])
     assert len(calls) == 1
 
 
-def test_fixed_v_max_passes_through():
-    def envelope(v):
+def test_fixed_v_max_passes_through(monkeypatch):
+    def search(envelope, tail_tol, v_cap):
         raise AssertionError("a fixed v_max needs no envelope")
 
-    assert fourier._auto_v_max(envelope, QuadratureGrid(v_max=37.5)) == 37.5
+    monkeypatch.setattr(fourier, "_auto_v_max", search)
+    grid = QuadratureGrid(v_max=37.5)
+    for table in (make_multi_table(MERTON, PAYOFF, grid, 0.2, T, [None]),
+                  make_density_table(MERTON, grid, 0.2, T)):
+        assert table.mid[-1] + table.half[-1] == pytest.approx(37.5, rel=1e-15)
 
 
 def test_truncation_error_when_envelope_never_drops():
-    small_cap = QuadratureGrid(v_cap=100.0)
+    tail_tol = fourier.TABLE_LIMITS["contour"][0]
     with pytest.raises(TruncationError):
-        fourier._auto_v_max(_contour_envelope(NIG, 1e-5), small_cap)
+        fourier._auto_v_max(_contour_envelope(NIG, 1e-5), tail_tol, 100.0)
     with pytest.raises(TruncationError):
-        fourier._auto_v_max(lambda v: np.ones_like(v), QuadratureGrid(v_cap=10.0))
+        fourier._auto_v_max(lambda v: np.ones_like(v), tail_tol, 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ import scipy.integrate as integrate
 from scipy.stats import norm
 
 from levyrep import (
+    DomainError,
     MarketSpec,
     NIGModel,
     ParameterError,
+    SchemeError,
     build_mmm,
     conditional_value,
     digital_payoff,
@@ -223,3 +225,36 @@ def test_fs_path_study_builds_the_truncated_exponent_once(nig_market, grid, monk
     fs_path_study(nig_market, transform, grid, batch)
     assert calls == [(nig_market.model, 1e-3)]
     assert fourier.truncated_jump_exponent.cache_info().misses == 1
+
+
+def test_full_measure_psi_compensator_raises_for_infinite_variation(nig_market, grid):
+    # int (F*(x + y) - F*(x)) nu(dy) diverges for NIG jumps: asking for it
+    # over the full measure raises where it once read [0, 0]
+    transform = build_mmm(nig_market)
+    xs = np.array([0.0, 0.1])
+    with pytest.raises(DomainError, match="infinite-variation"):
+        hedge_components_batch(nig_market, transform, grid, 0.5, xs,
+                               with_psi_compensator=True)
+    _, _, _, comp, _ = hedge_components_batch(nig_market, transform, grid, 0.5, xs,
+                                              eps=1e-3, with_psi_compensator=True)
+    assert np.all(np.abs(comp) > 0.2)
+    # the hedge itself needs no compensator and still runs without eps
+    _, kappa, nu_int, comp, _ = hedge_components_batch(nig_market, transform, grid, 0.5, xs)
+    assert np.all(np.isfinite(kappa)) and np.all(np.isfinite(nu_int)) and np.all(comp == 0.0)
+    assert math.isfinite(lrm_xi(nig_market, transform, grid, 0.5, 0.0, 1.0))
+    rows = hedge_grid(nig_market, transform, grid, n_t=3, n_s=5)
+    assert len(rows) == 15 and all(math.isfinite(row[2]) for row in rows)
+
+
+def test_fs_path_study_rejects_exact_infinite_activity_paths(nig_market, grid, monkeypatch):
+    # exact NIG paths carry no jump marks: SchemeError, as replicate_batch
+    # raises, before any contour table is built
+    transform = build_mmm(nig_market)
+    batch = simulate(nig_market.model, nig_market.T, 5, 4, seed=8)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("no table before the path check")
+
+    monkeypatch.setattr(fourier, "_contour", no_table)
+    with pytest.raises(SchemeError, match="no jump marks"):
+        fs_path_study(nig_market, transform, grid, batch)

@@ -21,6 +21,7 @@ from levyrep import (
     model_from_dict,
 )
 from levyrep.malliavin import EPS_SEQUENCE
+from levyrep.mmm import MarketSpec, StarModel
 from levyrep.models import (
     CustomModel,
     characteristic_function,
@@ -32,6 +33,8 @@ from oracles import (
     density_exponential_tail,
     density_tail_cutoff,
     jump_exponent_quadrature,
+    log_of_levy_density,
+    star_log_levy_density,
 )
 
 ALL = ["merton", "vg", "nig", "brownian"]
@@ -313,6 +316,25 @@ def test_tail_integral_near_the_strip_edge(nig, alpha):
     assert check_exponential_moment(nig, alpha).tail_integral == pytest.approx(quad, rel=1e-9)
     if alpha == 3.99:
         assert abs(density_exponential_tail(nig, alpha) / quad - 1.0) > 1e-3
+
+
+def test_star_tail_integral_matches_quad(nig):
+    # the shipped NIG market's star measure at alpha = 2.99, below its strip
+    # edge 3: the tilt adds e^x where nu underflows (x ~ 180), so the tail
+    # needs nu* in logs.  The quad takes log nu* from a second formula;
+    # negative control: log nu* as log(levy_density), which cuts the tail
+    star = build_mmm(MarketSpec(r=0.0, T=1.0, K=1.0, model=nig)).star
+    alpha = 2.99
+    quad = sum(
+        _quad_by_octaves(
+            lambda x, s=sgn: math.exp(alpha * s * x + star_log_levy_density(star, s * x)),
+            1.0, 2.0**20)
+        for sgn in (1.0, -1.0))
+    assert check_exponential_moment(star, alpha).tail_integral == pytest.approx(quad, rel=1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StarModel, "log_levy_density", log_of_levy_density)
+        old = check_exponential_moment(star, alpha).tail_integral
+    assert abs(old / quad - 1.0) > 1e-3
 
 
 @pytest.mark.parametrize("name", ["merton", "vg", "nig", "kou", "star"])

@@ -17,7 +17,6 @@ from levyrep import (
     fourier,
     hedging,
     replicate_batch,
-    representation,
     simulate,
 )
 from levyrep.simulate import _accumulate, build_mark_table
@@ -167,8 +166,7 @@ def _recorded(monkeypatch, call):
         return vals, err
 
     with monkeypatch.context() as m:
-        m.setattr(representation, "_contour", recorder)
-        m.setattr(hedging, "_contour", recorder)
+        m.setattr(fourier, "_contour", recorder)
         call()
     return seen
 

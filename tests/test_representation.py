@@ -15,7 +15,6 @@ from levyrep import (
     SchemeError,
     build_integrands,
     conditional_value,
-    conditional_value_batch,
     dF_dx,
     digital_payoff,
     jump_difference,
@@ -63,7 +62,7 @@ def test_pointwise_integrands_share_the_engine(request, grid, name, nu_eps):
     ints = build_integrands(model, payoff, grid, T, nu_eps=nu_eps)
     for s, x, y in ((0.2, -0.3, 0.25), (0.7, 0.1, -0.4)):
         assert ints.value(s, x) == conditional_value(model, payoff, grid, s, x, T)
-        F = conditional_value_batch(model, payoff, grid, s, np.array([x, x + y]), T)
+        F = conditional_value(model, payoff, grid, s, np.array([x, x + y]), T)
         assert ints.theta(s, x, y) == F[1] - F[0]
         dF = dF_dx(model, payoff, grid, s, x, T)
         assert abs(ints.u(s, x) - model.sigma * dF) <= 1e-14

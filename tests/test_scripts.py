@@ -30,3 +30,18 @@ def test_hedge_study_script():
     proc = _run("hedge_study.py", "--paths", "100", "--steps", "50")
     assert proc.returncode == 0, proc.stderr
     assert "E[L^H_T]" in proc.stdout
+
+
+def test_bench_pairs_lists_the_counts_that_changed():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    metrics = [{"name": "psi.points", "unit": "count"}, {"name": "table.nodes", "unit": "count"},
+               {"name": "psi.s", "unit": "s"}]
+    same = {"psi.points": 10, "table.nodes": 7, "psi.s": 0.5}
+    medians = {"parent": same, "change": dict(same, **{"psi.s": 0.4})}
+    assert bench_pairs.counts_changed(medians, metrics) == []
+    medians["change"]["table.nodes"] = 8
+    assert bench_pairs.counts_changed(medians, metrics) == ["table.nodes"]
